@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, identify, estimate, experiment,
-verify-counterexample, bootstrap.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+verify-counterexample, bootstrap.  Exit codes: 0 success, 2 configuration
+or domain error (ConfigError, DomainError), 3 data error (DataError), 4
+numerical failure (NumericalError, SeparationError) or any other
+CrissCrossError.  An error prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import numpy as np
 from . import __version__
 from .counterexample import verify_counterexample
 from .dataio import load_dataset, save_dataset, save_report
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, CrissCrossError, DataError, DomainError, NumericalError
 from .experiments import ExperimentConfig, bootstrap, run_experiment, write_summary
 from .gee import (NonOptimalF, NormalLinear, estimate_binary_2x2,
                   fit_propensity, optimal_f, solve_gee)
 from .identify import (build_jacobian, case_study, sufficient_knowledge_search)
 from .model import (ExpFamilySpec, MissingnessMechanism, TargetLawParams,
                     or_from_theta)
-from .pseudolik import build_pairs, fit_groupwise, fit_pairwise_with_variance
+from .pseudolik import (build_pairs, fit_groupwise, fit_pairwise,
+                        fit_pairwise_with_variance)
 from .simulate import (Binary2x2Model, BivariateNormalTarget, ScenarioConfig,
                        missingness_summary, simulate_dataset)
 
@@ -36,11 +39,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except CrissCrossError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0
 
@@ -241,7 +250,7 @@ def _cmd_estimate(args):
                 "a_hat": res.a_hat, "b_hat": res.b_hat,
                 "sandwich_var": res.sandwich_var,
                 "iterations": res.iterations, "converged": res.converged,
-                "ties_dropped": build_pairs(data).ties_dropped,
+                "ties_dropped": res.ties_dropped,
             })
             or_point, or_se = or_from_theta(res.theta_hat,
                                             res.sandwich_var / res.n_complete)
@@ -342,8 +351,8 @@ def _cmd_bootstrap(args):
     data = load_dataset(args.data)
     if args.method == "pseudolik":
         def fit(d):
-            res = fit_pairwise_with_variance(d)
-            return {"theta": res.theta_hat, "log_or": res.theta_hat}
+            theta = fit_pairwise(build_pairs(d)).theta_hat
+            return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary bootstrap needs --theta11")

@@ -3,12 +3,14 @@
 CSV layout: header ``x,y,r_x,r_y``, one record per line, LF endings.
 Missing cells are empty, present floats are written with 17 significant
 digits so a round trip is bit-exact.  Loading validates the coarsening
-rule per line: a value must be present exactly when its indicator is 1.
+rule per line: a value must be present exactly when its indicator is 1,
+and a present value must be finite (no inf or nan).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +66,14 @@ def load_dataset(path) -> ObservedDataset:
                 f"but r_y={ry}"
             )
         try:
-            xs.append(float(xs_raw) if xs_raw else np.nan)
-            ys.append(float(ys_raw) if ys_raw else np.nan)
+            xv = float(xs_raw) if xs_raw else np.nan
+            yv = float(ys_raw) if ys_raw else np.nan
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed numeric: {exc}") from exc
+        if (rx and not math.isfinite(xv)) or (ry and not math.isfinite(yv)):
+            raise DataError(f"{path}:{lineno}: present values must be finite")
+        xs.append(xv)
+        ys.append(yv)
         rxs.append(rx)
         rys.append(ry)
     if not xs:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError (including SeparationError) -> 4.
+The CLI maps these onto exit codes: ConfigError and DomainError -> 2,
+DataError -> 3, NumericalError (including SeparationError) and any other
+CrissCrossError -> 4.
 """
 
 

@@ -434,6 +434,9 @@ def _binary_jacobian(theta: dict, support=None) -> JacobianReport:
 
 def _generic_case(spec: ExpFamilySpec, to_params: Callable, rename: dict):
     def build(theta: dict, support) -> JacobianReport:
+        if support is None:
+            raise ConfigError("this case study has no default support; "
+                              "give support_points")
         rep = build_jacobian(spec, to_params(theta), support)
         names = tuple(rename.get(n, n) for n in rep.param_names)
         return replace(rep, param_names=names)

@@ -8,48 +8,66 @@ the missingness mechanism.  The pairwise approximation multiplies
 1 / (1 + Q_ik) over all complete pairs with
 Q_ik = exp(-theta (x_i - x_k)(y_i - y_k)); maximizing it is exactly an
 intercept-free logistic regression of u = 1{y_i - y_k > 0} on
-v = (x_i - x_k) |y_i - y_k|.
-
-Groupwise variants replace pairs by index groups of size g in {2, 3, 4}
-and normalize each group's contribution by the sum over the g!
+v = (x_i - x_k) |y_i - y_k|.  With d = (x_i - x_k)(y_i - y_k) and
+sigma = expit(-theta d), the objective is -sum softplus(-theta d), the
+score sum d sigma and the Hessian H = -sum d^2 sigma (1 - sigma).  One
+kernel pass gives all three, streaming the upper triangle of the d matrix
+in row blocks of about ``_BLOCK`` cells: memory is bounded by a block,
+not by the n_c^2 pairs.  Groupwise variants replace pairs by index groups
+of size g in {2, 3, 4}, normalizing each group by the sum over the g!
 permutations of its x values; g = 2 recovers the pairwise objective.
 
-Asymptotics: with zeta_ik = d log(1 + Q_ik) / d theta, the estimator
-satisfies sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B
-average d zeta / d theta over pairs and 4 * zeta_12 zeta_13 over
-triples, observed pairs/triples only.  ``variance_ustat`` estimates A
-and B by complete-pair and complete-triple averages; on that scaling
-Var(theta_hat) ~= (b_hat / a_hat^2) / n_complete, and both n and N are
-carried in the result so either normalization can be reconstructed.
+Asymptotics: with zeta_ik = d log(1 + Q_ik) / d theta = -d sigma,
+sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B average
+d zeta / d theta over pairs and 4 zeta_12 zeta_13 over triples (observed
+ones).  d zeta / d theta is the Hessian term, so a_hat = -2 H / (n (n-1)),
+and with zeta row sums R_i, b_hat = 4 (sum R_i^2 - sum_{i != k} zeta_ik^2)
+/ (n (n-1) (n-2)), from one pass at theta_hat.  Var(theta_hat) ~=
+(b_hat / a_hat^2) / n_complete; n and N are both in the result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DataError, DomainError, NumericalError, SeparationError
-from .families import expit
 from .model import ObservedDataset
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
+_BLOCK = 1 << 16        # d-matrix cells per kernel block
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class PairDesign:
-    """Logistic design over complete-case pairs, ties in y dropped."""
+    """Complete cases of a pairwise fit; pairs tied in y are dropped.
 
-    u: np.ndarray           # 1 iff y_i - y_k > 0
-    v: np.ndarray           # (x_i - x_k) * |y_i - y_k|
-    pair_index: np.ndarray  # (m, 2) indices into the complete-case arrays
+    ``u`` = 1{y_i > y_k} and ``v`` = (x_i - x_k) |y_i - y_k| over the untied
+    pairs are built, in O(n_c^2) memory, on each read; no fit reads them.
+    """
+
+    xc: np.ndarray
+    yc: np.ndarray
     ties_dropped: int
     n_complete: int
     n_total: int
+    u = property(lambda self: self._logistic_design()[0])
+    v = property(lambda self: self._logistic_design()[1])
+
+    def _logistic_design(self):
+        i, k = np.triu_indices(self.n_complete, 1)
+        dy = self.yc[i] - self.yc[k]
+        keep = dy != 0
+        dy = dy[keep]
+        return (dy > 0).astype(float), (self.xc[i[keep]] - self.xc[k[keep]]) * np.abs(dy)
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,7 @@ class PseudoLikResult:
     a_hat: float | None = None
     b_hat: float | None = None
     sandwich_var: float | None = None
+    ties_dropped: int | None = None
 
     @property
     def se(self) -> float | None:
@@ -76,104 +95,136 @@ def build_pairs(data: ObservedDataset) -> PairDesign:
     n = len(xc)
     if n < 2:
         raise DataError("need at least 2 complete cases")
-    i, k = np.triu_indices(n, 1)
-    dy = yc[i] - yc[k]
-    keep = dy != 0
-    ties = int(np.sum(~keep))
-    i, k, dy = i[keep], k[keep], dy[keep]
-    if len(dy) == 0:
+    runs = np.unique(yc, return_counts=True)[1]     # runs of equal y
+    ties = int(np.sum(runs * (runs - 1) // 2))
+    if ties == n * (n - 1) // 2:
         raise DataError("all complete-case pairs are tied in y")
-    u = (dy > 0).astype(float)
-    v = (xc[i] - xc[k]) * np.abs(dy)
-    return PairDesign(u=u, v=v, pair_index=np.column_stack([i, k]),
-                      ties_dropped=ties, n_complete=n, n_total=data.n_total)
+    return PairDesign(xc=xc, yc=yc, ties_dropped=ties, n_complete=n,
+                      n_total=data.n_total)
 
 
-def _check_separation(u, v):
-    informative = v != 0
-    if not np.any(informative):
-        raise DomainError("pair covariate v is identically zero")
-    ui, vi = u[informative], v[informative]
-    if np.all(ui == (vi > 0)):
-        raise SeparationError("complete separation: estimate diverges to +inf",
-                              direction=+1)
-    if np.all(ui == (vi < 0)):
-        raise SeparationError("complete separation: estimate diverges to -inf",
-                              direction=-1)
+def _blocks(xc, yc):
+    """Yield (r0, d), d[a, b] = d_ik for i = r0 + a, k = r0 + b: a block of
+    rows by the columns from r0 on, zero on and below the diagonal."""
+    n = len(xc)
+    rows = min(n, max(1, _BLOCK // n))
+    lower = np.tri(rows, dtype=bool)
+    for r0 in range(0, n - 1, rows):
+        m = min(rows, n - r0)
+        d = np.subtract.outer(xc[r0:r0 + m], xc[r0:])
+        d *= np.subtract.outer(yc[r0:r0 + m], yc[r0:])
+        d[:, :m][lower[:m, :m]] = 0.0
+        yield r0, d
 
 
-def fit_pairwise(design: PairDesign) -> PseudoLikResult:
-    """Newton maximization of the pairwise objective from theta = 0.
+class _PairSums(NamedTuple):
+    loglik: float       # -sum softplus(-theta d), + log 2 per tied pair
+    score: float        # sum d sigma
+    hess: float         # -sum d^2 sigma (1 - sigma)
+    n_pos: int          # pairs with d > 0 / d < 0 (signs=True)
+    n_neg: int
+    triples: float      # sum_{i, k != l} zeta_ik zeta_il (rows=True)
 
-    Convergence: |score| / n_pairs <= 1e-8 (the mean-scale score; the
-    raw sum sits at summation roundoff long before that for large n).
-    """
-    u, v = design.u, design.v
-    if len(u) == 0:
-        raise DataError("empty pair design")
-    _check_separation(u, v)
-    n_pairs = len(u)
-    theta = 0.0
-    obj = _pair_loglik(u, v, theta)
-    converged = False
-    it = 0
+
+def _pass(xc, yc, theta, ties=0, signs=False, rows=False) -> _PairSums:
+    """One kernel pass at theta.  With a = |theta|, s = sign(theta),
+    e = exp(-a |d|) and q = 1 / (1 + e): softplus(-theta d) =
+    max(-theta d, 0) + log1p(e), d sigma = (d + s |d|) / 2 - s |d| q and
+    sigma (1 - sigma) = e q^2, so sums of d and |d| carry the sign parts."""
+    n = len(xc)
+    a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
+    sum_d = sum_ad = sum_log = sum_r = sum_h = zeta_sq = 0.0
+    cells = n_pos = n_neg = 0
+    zeta_rows = np.zeros(n) if rows else None
+    for r0, d in _blocks(xc, yc):
+        cells += d.size
+        if signs:
+            n_pos += int(np.count_nonzero(d > 0))
+            n_neg += int(np.count_nonzero(d < 0))
+        ad = np.abs(d)
+        sum_d += float(d.sum())
+        sum_ad += float(ad.sum())
+        e = np.multiply(ad, -a)
+        np.exp(e, out=e)
+        sum_log += float(np.log1p(e).sum())
+        r = e + 1.0
+        np.divide(ad, r, out=r)                     # r = |d| q
+        sum_r += float(r.sum())
+        if rows:
+            zeta = 0.5 * ((2.0 * s) * r - s * ad - d)
+            zeta_rows[r0:r0 + len(d)] += zeta.sum(axis=1)
+            zeta_rows[r0:] += zeta.sum(axis=0)
+            zeta_sq += float(np.einsum("ij,ij->", zeta, zeta))
+        r *= r
+        sum_h += float(np.einsum("ij,ij->", r, e))
+    padding = cells - n * (n - 1) // 2 + ties     # d = 0 cells: log 2 each
+    loglik = (theta * sum_d - a * sum_ad) / 2.0 - sum_log + padding * _LOG2
+    score = (sum_d + s * sum_ad) / 2.0 - s * sum_r
+    triples = float(np.sum(zeta_rows ** 2)) - 2.0 * zeta_sq if rows else 0.0
+    return _PairSums(loglik, score, -sum_h, n_pos, n_neg, triples)
+
+
+def _newton(evaluate, start, n_terms, label):
+    """Damped Newton ascent from theta = 0 with start = evaluate(0) =
+    (objective, score, Hessian); returns (theta, iterations, converged).
+    Stops at |score| / n_terms <= SCORE_TOL (the raw sum sits at roundoff
+    long before that for large n).  An accepted candidate's evaluation
+    supplies the next score and Hessian."""
+    theta, it, converged = 0.0, 0, False
+    obj, score, hess = start
     for it in range(1, MAX_ITER + 1):
-        p = expit(theta * v)
-        score = float(np.sum(v * (u - p)))
-        if abs(score) / n_pairs <= SCORE_TOL:
+        if abs(score) / n_terms <= SCORE_TOL:
             converged = True
             break
-        hess = -float(np.sum(v * v * p * (1.0 - p)))
         if hess >= 0:
-            raise NumericalError("pairwise Hessian not negative definite")
+            raise NumericalError(f"{label} Hessian not negative definite")
         step = -score / hess
         scale = 1.0
         for _ in range(50):
-            cand = theta + scale * step
-            obj_new = _pair_loglik(u, v, cand)
+            obj_new, score_new, hess_new = evaluate(theta + scale * step)
             if obj_new >= obj - 1e-12 * max(1.0, abs(obj)):
                 break
             scale *= 0.5
+        else:       # halvings exhausted: the next theta is not yet evaluated
+            _, score_new, hess_new = evaluate(theta + scale * step)
         if abs(scale * step) <= 1e-15 * max(1.0, abs(theta)):
             break
         theta += scale * step
         obj = max(obj, obj_new)
-    return PseudoLikResult(theta_hat=theta, n_complete=design.n_complete,
-                           n_total=design.n_total, iterations=it,
-                           converged=converged)
+        score, hess = score_new, hess_new
+    return theta, it, converged
 
 
-def _pair_loglik(u, v, theta):
-    lin = theta * v
-    return float(np.sum(u * lin - np.logaddexp(0.0, lin)))
+def fit_pairwise(design: PairDesign) -> PseudoLikResult:
+    """Newton maximization of the pairwise objective (the logistic
+    log-likelihood over untied pairs) from theta = 0; the theta = 0 pass
+    also checks for a zero covariate and for separation."""
+    xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
+    start = _pass(xc, yc, 0.0, ties, signs=True)
+    if start.n_pos + start.n_neg == 0:
+        raise DomainError("pair covariate v is identically zero")
+    if start.n_neg == 0 or start.n_pos == 0:
+        direction = 1 if start.n_neg == 0 else -1
+        raise SeparationError("complete separation: estimate diverges to "
+                              f"{'+' if direction > 0 else '-'}inf", direction=direction)
+    theta, it, converged = _newton(lambda t: _pass(xc, yc, t, ties)[:3], start[:3],
+                                   n * (n - 1) // 2 - ties, "pairwise")
+    return PseudoLikResult(theta_hat=theta, n_complete=n, n_total=design.n_total,
+                           iterations=it, converged=converged,
+                           ties_dropped=design.ties_dropped)
 
-
-# --------------------------------------------------------------------- #
-# groupwise objective
-# --------------------------------------------------------------------- #
 
 def _index_blocks(n, group_size, chunk):
     """Yield (m, g) integer arrays covering all size-g index combinations."""
-    if group_size == 2:
-        i, k = np.triu_indices(n, 1)
-        idx = np.column_stack([i, k])
-        for start in range(0, len(idx), chunk):
-            yield idx[start:start + chunk]
-        return
     if group_size == 3:
         for i in range(n - 2):
-            m = n - i - 1
-            j_off, k_off = np.triu_indices(m, 1)
-            idx = np.column_stack([np.full(j_off.size, i), j_off + i + 1,
-                                   k_off + i + 1])
+            j, k = np.triu_indices(n - i - 1, 1)
+            idx = np.column_stack([np.full(j.size, i), j + i + 1, k + i + 1])
             for start in range(0, len(idx), chunk):
                 yield idx[start:start + chunk]
         return
     combos = itertools.combinations(range(n), group_size)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return
+    while block := list(itertools.islice(combos, chunk)):
         yield np.array(block)
 
 
@@ -181,8 +232,7 @@ def _group_deltas(xc, yc, group_size, chunk=200_000):
     """Yield (m, g!) arrays of S_P - S_id over index combinations."""
     perms = list(itertools.permutations(range(group_size)))
     for idx in _index_blocks(len(xc), group_size, chunk):
-        xg = xc[idx]                                # (m, g)
-        yg = yc[idx]
+        xg, yg = xc[idx], yc[idx]                   # (m, g)
         s_id = np.sum(xg * yg, axis=1)
         deltas = np.empty((len(idx), len(perms)))
         for j, perm in enumerate(perms):
@@ -190,13 +240,20 @@ def _group_deltas(xc, yc, group_size, chunk=200_000):
         yield deltas
 
 
-def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> float:
-    """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id))."""
+def _group_cases(data: ObservedDataset, group_size: int):
     if group_size not in (2, 3, 4):
         raise DomainError("group_size must be 2, 3, or 4")
     xc, yc = data.complete_xy()
     if len(xc) < group_size:
         raise DataError(f"need at least {group_size} complete cases")
+    return xc, yc
+
+
+def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> float:
+    """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id))."""
+    xc, yc = _group_cases(data, group_size)
+    if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
+        return _pass(xc, yc, theta).loglik
     total = 0.0
     for deltas in _group_deltas(xc, yc, group_size):
         total -= float(np.sum(logsumexp(theta * deltas, axis=1)))
@@ -204,9 +261,7 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
 
 
 def _groupwise_score_hess(delta_blocks, theta):
-    obj = 0.0
-    score = 0.0
-    hess = 0.0
+    obj = score = hess = 0.0
     n_groups = 0
     for deltas in delta_blocks():
         z = theta * deltas
@@ -222,22 +277,12 @@ def _groupwise_score_hess(delta_blocks, theta):
 
 
 def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
-    """Newton maximization of the groupwise objective from theta = 0.
-
-    Convergence matches fit_pairwise: mean-scale score within 1e-8.
-    The permutation contrasts are materialized once when they fit in
-    memory and regenerated per evaluation otherwise.
-    """
-    if group_size not in (2, 3, 4):
-        raise DomainError("group_size must be 2, 3, or 4")
-    xc, yc = data.complete_xy()
-    if len(xc) < group_size:
-        raise DataError(f"need at least {group_size} complete cases")
+    """Newton maximization of the groupwise objective from theta = 0
+    (g = 2 is the pairwise fit).  The permutation contrasts are kept when
+    they fit in memory and regenerated per evaluation otherwise."""
+    xc, yc = _group_cases(data, group_size)
     if group_size == 2:
-        res = fit_pairwise(build_pairs(data))
-        return PseudoLikResult(theta_hat=res.theta_hat, n_complete=res.n_complete,
-                               n_total=res.n_total, iterations=res.iterations,
-                               converged=res.converged, group_size=2)
+        return fit_pairwise(build_pairs(data))
 
     n = len(xc)
     total = math.comb(n, group_size) * math.factorial(group_size)
@@ -246,81 +291,36 @@ def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
         delta_blocks = lambda: cached
     else:
         delta_blocks = lambda: _group_deltas(xc, yc, group_size)
-
-    theta = 0.0
-    obj, score, hess, n_groups = _groupwise_score_hess(delta_blocks, theta)
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        if abs(score) / n_groups <= SCORE_TOL:
-            converged = True
-            break
-        if hess >= 0:
-            raise NumericalError("groupwise Hessian not negative definite")
-        step = -score / hess
-        scale = 1.0
-        for _ in range(50):
-            cand = theta + scale * step
-            obj_new, score_new, hess_new, _ = _groupwise_score_hess(delta_blocks, cand)
-            if obj_new >= obj - 1e-12 * max(1.0, abs(obj)):
-                break
-            scale *= 0.5
-        if abs(scale * step) <= 1e-15 * max(1.0, abs(theta)):
-            break
-        theta = theta + scale * step
-        obj, score, hess = obj_new, score_new, hess_new
-    return PseudoLikResult(theta_hat=theta, n_complete=len(xc),
+    start = _groupwise_score_hess(delta_blocks, 0.0)
+    theta, it, converged = _newton(lambda t: _groupwise_score_hess(delta_blocks, t)[:3],
+                                   start[:3], start[3], "groupwise")
+    return PseudoLikResult(theta_hat=theta, n_complete=n,
                            n_total=data.n_total, iterations=it,
                            converged=converged, group_size=group_size)
 
 
-# --------------------------------------------------------------------- #
-# U-statistic sandwich variance
-# --------------------------------------------------------------------- #
-
 def variance_ustat(data: ObservedDataset, theta_hat: float
                    ) -> tuple[float, float, float]:
-    """(a_hat, b_hat, sandwich_var) at theta_hat.
-
-    a_hat averages d zeta_ik / d theta over unordered complete pairs;
-    b_hat is 4 times the average of zeta_ik * zeta_il over ordered
-    distinct complete triples anchored at i.  The triple sum collapses
-    to row sums of the zeta matrix, so the cost is O(n^2) and exact (no
-    subsampled approximation is ever needed).
-    """
+    """(a_hat, b_hat, sandwich_var) at theta_hat from one kernel pass:
+    a_hat averages d zeta_ik / d theta over ordered complete pairs, b_hat is
+    4 times the average of zeta_ik zeta_il over ordered distinct triples."""
     if not math.isfinite(theta_hat):
         raise DomainError("theta_hat must be finite")
     xc, yc = data.complete_xy()
     n = len(xc)
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
-    a_sum = 0.0
-    b_sum = 0.0
-    chunk = max(1, int(4e6) // max(n, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d = (xc[start:stop, None] - xc[None, :]) * (yc[start:stop, None] - yc[None, :])
-        sig = expit(-theta_hat * d)
-        zeta = -d * sig
-        dzeta = d * d * sig * (1.0 - sig)
-        rows = np.arange(start, stop)
-        zeta[rows - start, rows] = 0.0
-        dzeta[rows - start, rows] = 0.0
-        a_sum += float(np.sum(dzeta))
-        row_sums = np.sum(zeta, axis=1)
-        row_sq = np.sum(zeta ** 2, axis=1)
-        b_sum += float(np.sum(row_sums ** 2 - row_sq))
-    a_hat = a_sum / (n * (n - 1))          # ordered pairs; symmetric kernel
-    b_hat = 4.0 * b_sum / (n * (n - 1) * (n - 2))
+    sums = _pass(xc, yc, theta_hat, rows=True)
+    a_hat = -2.0 * sums.hess / (n * (n - 1))
+    b_hat = 4.0 * sums.triples / (n * (n - 1) * (n - 2))
     if a_hat <= 0 or not math.isfinite(a_hat):
         raise NumericalError("degenerate curvature: a_hat is not positive")
+    if b_hat <= 0 or not math.isfinite(b_hat):
+        raise NumericalError("degenerate score variance: b_hat is not positive")
     return a_hat, b_hat, b_hat / a_hat ** 2
 
 
 def fit_pairwise_with_variance(data: ObservedDataset) -> PseudoLikResult:
     res = fit_pairwise(build_pairs(data))
     a_hat, b_hat, var = variance_ustat(data, res.theta_hat)
-    return PseudoLikResult(theta_hat=res.theta_hat, n_complete=res.n_complete,
-                           n_total=res.n_total, iterations=res.iterations,
-                           converged=res.converged, group_size=2,
-                           a_hat=a_hat, b_hat=b_hat, sandwich_var=var)
+    return dataclasses.replace(res, a_hat=a_hat, b_hat=b_hat, sandwich_var=var)

@@ -30,3 +30,9 @@ def complete_dataset(x, y):
     y = np.asarray(y, float)
     ones = np.ones(len(x), dtype=np.int8)
     return cc.ObservedDataset(x, y, ones, ones)
+
+
+def pair_loglik(u, v, theta):
+    """Pairwise objective over a materialized logistic pair design (oracle)."""
+    lin = theta * v
+    return float(np.sum(u * lin - np.logaddexp(0.0, lin)))

@@ -14,9 +14,8 @@ import pytest
 
 import crisscross as cc
 from crisscross.identify import case_study
-from crisscross.pseudolik import _pair_loglik
 
-from conftest import complete_dataset, make_dataset
+from conftest import complete_dataset, make_dataset, pair_loglik
 
 TABLE1_SEED = 109
 RHO_SEED = 83
@@ -212,8 +211,8 @@ def test_criterion_9_property_suite():
     ok = True
     for theta in rng.uniform(-1, 1, 8):
         h = 1e-6
-        fd = (_pair_loglik(design.u, design.v, theta + h)
-              - _pair_loglik(design.u, design.v, theta - h)) / (2 * h)
+        fd = (pair_loglik(design.u, design.v, theta + h)
+              - pair_loglik(design.u, design.v, theta - h)) / (2 * h)
         p = cc.expit(theta * design.v)
         analytic = float(np.sum(design.v * (design.u - p)))
         ok &= abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
@@ -228,9 +227,9 @@ def test_criterion_9_property_suite():
 
     # groupwise g=2 equals the pairwise objective
     vals = [abs(cc.groupwise_loglik(data, t, 2)
-                - _pair_loglik(design.u, design.v, t)) for t in (-0.4, 0.0, 0.6)]
+                - pair_loglik(design.u, design.v, t)) for t in (-0.4, 0.0, 0.6)]
     checks.append(("g=2 == pairwise <= 1e-12",
-                   max(vals) <= 1e-12 * abs(_pair_loglik(design.u, design.v, 0.6))))
+                   max(vals) <= 1e-12 * abs(pair_loglik(design.u, design.v, 0.6))))
 
     # g=3 on n=3 equals the 3!-permutation conditional likelihood
     xs = np.array([0.3, -1.2, 2.0])

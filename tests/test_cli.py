@@ -144,3 +144,65 @@ def test_csv_validation_messages(tmp_path):
             with pytest.raises(cc.DataError) as exc:
                 cc.load_dataset(path)
             assert ":2:" in str(exc.value)
+
+
+def test_estimate_reports_ties_from_the_fit(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=60)
+    y = np.round(0.5 * x + rng.normal(size=60), 1)
+    path = tmp_path / "ties.csv"
+    cc.save_dataset(complete_dataset(x, y), path)
+    assert main(["estimate", str(path), "--method", "pseudolik"]) == 0
+    ties = sum(y[i] == y[k] for i in range(60) for k in range(i + 1, 60))
+    assert ties > 0
+    assert json.loads(capsys.readouterr().out)["ties_dropped"] == ties
+
+
+def test_bootstrap_pseudolik_se_comes_from_theta_alone(dataset_csv, capsys):
+    assert main(["bootstrap", str(dataset_csv), "--method", "pseudolik",
+                 "--resamples", "6", "--seed", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    boot = cc.bootstrap(cc.load_dataset(dataset_csv),
+                        lambda d: {"theta": cc.fit_pairwise_with_variance(d).theta_hat},
+                        6, 5)
+    assert payload["se"]["theta"] == boot.se["theta"]
+    assert payload["n_failed"] == boot.n_failed == 0
+
+
+def _run_without_traceback(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return code
+
+
+def test_exit_code_2_on_domain_error(tmp_path, capsys):
+    assert _run_without_traceback(["verify-counterexample", "--step", "0.1"], capsys) == 2
+    const_x = tmp_path / "const_x.csv"
+    const_x.write_text("x,y,r_x,r_y\n1,0,1,1\n1,1,1,1\n1,2,1,1\n")
+    assert _run_without_traceback(["estimate", str(const_x), "--method", "pseudolik"],
+                                  capsys) == 2
+
+
+def test_identify_case_without_support_is_config_error(capsys):
+    assert _run_without_traceback(["identify", "--case", "multivariate_normal"],
+                                  capsys) == 2
+
+
+def test_exit_code_3_on_non_finite_value(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("x,y,r_x,r_y\n0.5,1.0,1,1\ninf,2.0,1,1\n1.5,0.5,1,1\n")
+    assert _run_without_traceback(["estimate", str(path), "--method", "pseudolik"],
+                                  capsys) == 3
+    with pytest.raises(cc.DataError, match=":3:"):
+        cc.load_dataset(path)
+
+
+def test_exit_code_4_on_nonpositive_b_hat(tmp_path, capsys):
+    path = tmp_path / "small.csv"
+    cc.save_dataset(complete_dataset(
+        [-0.218792, -1.245911, -0.732267, -0.544259, -0.3163],
+        [0.302235, 0.419558, -0.494668, 1.094334, -0.823345]), path)
+    assert _run_without_traceback(["estimate", str(path), "--method", "pseudolik"],
+                                  capsys) == 4

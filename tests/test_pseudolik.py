@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crisscross as cc
-from crisscross.pseudolik import _pair_loglik
 
-from conftest import complete_dataset, make_dataset
+from conftest import complete_dataset, make_dataset, pair_loglik
 
 
 # ------------------------------------------------------------------ #
@@ -84,7 +83,7 @@ def test_pairwise_score_matches_finite_difference(theta):
     rng = np.random.default_rng(4)
     d = cc.build_pairs(complete_dataset(rng.normal(size=60), rng.normal(size=60)))
     h = 1e-6
-    fd = (_pair_loglik(d.u, d.v, theta + h) - _pair_loglik(d.u, d.v, theta - h)) / (2 * h)
+    fd = (pair_loglik(d.u, d.v, theta + h) - pair_loglik(d.u, d.v, theta - h)) / (2 * h)
     p = cc.expit(theta * d.v)
     analytic = float(np.sum(d.v * (d.u - p)))
     assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-4)
@@ -144,14 +143,14 @@ def test_groupwise_equals_pairwise_objective():
     d = cc.build_pairs(data)
     for theta in (-0.7, 0.0, 0.42):
         assert cc.groupwise_loglik(data, theta, 2) == pytest.approx(
-            _pair_loglik(d.u, d.v, theta), rel=1e-12, abs=1e-12)
+            pair_loglik(d.u, d.v, theta), rel=1e-12, abs=1e-12)
 
 
 def test_groupwise_with_ties_differs_by_constant():
     data = complete_dataset([0.0, 1.0, 2.0], [1.0, 1.0, 3.0])
     d = cc.build_pairs(data)
     for theta in (0.0, 0.5):
-        diff = _pair_loglik(d.u, d.v, theta) - cc.groupwise_loglik(data, theta, 2)
+        diff = pair_loglik(d.u, d.v, theta) - cc.groupwise_loglik(data, theta, 2)
         assert diff == pytest.approx(d.ties_dropped * math.log(2.0), rel=1e-12)
 
 
@@ -292,3 +291,123 @@ def test_fit_with_variance_populates_sandwich(section61_small):
     assert res.se == pytest.approx(
         math.sqrt(res.sandwich_var / res.n_complete))
     assert res.n_total == 2000
+
+
+# ------------------------------------------------------------------ #
+# streaming kernel against the materialized pair design
+# ------------------------------------------------------------------ #
+
+def oracle_fit(data):
+    """Newton fit and sandwich (a, b) over the materialized u/v design and
+    the full n x n zeta matrix, the formulation the block kernel replaces."""
+    d = cc.build_pairs(data)
+    u, v = d.u, d.v
+    informative = v != 0
+    if not np.any(informative):
+        raise cc.DomainError("pair covariate v is identically zero")
+    if np.all(u[informative] == (v[informative] > 0)):
+        raise cc.SeparationError("+", direction=+1)
+    if np.all(u[informative] == (v[informative] < 0)):
+        raise cc.SeparationError("-", direction=-1)
+    theta, obj = 0.0, pair_loglik(u, v, 0.0)
+    for _ in range(cc.pseudolik.MAX_ITER):
+        p = cc.expit(theta * v)
+        score = float(np.sum(v * (u - p)))
+        if abs(score) / len(u) <= cc.pseudolik.SCORE_TOL:
+            break
+        step = score / float(np.sum(v * v * p * (1.0 - p)))
+        scale = 1.0
+        while pair_loglik(u, v, theta + scale * step) < obj - 1e-12 * max(1.0, abs(obj)):
+            scale *= 0.5
+        theta += scale * step
+        obj = max(obj, pair_loglik(u, v, theta))
+    xc, yc = data.complete_xy()
+    n = len(xc)
+    dm = np.subtract.outer(xc, xc) * np.subtract.outer(yc, yc)
+    sig = cc.expit(-theta * dm)
+    zeta = -dm * sig
+    a = float(np.sum(dm * dm * sig * (1.0 - sig))) / (n * (n - 1))
+    rows = zeta.sum(axis=1)
+    b = 4.0 * float(np.sum(rows ** 2 - np.sum(zeta ** 2, axis=1))) / (n * (n - 1) * (n - 2))
+    return theta, a, b, d.ties_dropped
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=90)
+    y = 0.5 * x + rng.normal(size=90)
+    yield "continuous", complete_dataset(x, y)
+    yield "ties in x and y", complete_dataset(np.round(x), np.round(y, 1))
+    x = rng.integers(0, 4, size=70).astype(float)
+    yield "heavy ties", complete_dataset(x, x + rng.integers(0, 3, size=70))
+    x = rng.normal(size=53)
+    yield "negative theta", complete_dataset(x, -0.8 * x + rng.normal(size=53))
+
+
+@pytest.mark.parametrize("block", [None, 530, 64])
+def test_kernel_matches_materialized_oracle(block, monkeypatch):
+    # 530 cells = 10 rows per block at n = 53 (partial last block of 3
+    # rows); 64 cells = one row per block
+    if block is not None:
+        monkeypatch.setattr(cc.pseudolik, "_BLOCK", block)
+    for name, data in _kernel_cases():
+        theta, a, b, ties = oracle_fit(data)
+        res = cc.fit_pairwise_with_variance(data)
+        assert res.converged, name
+        assert res.theta_hat == pytest.approx(theta, rel=1e-10), name
+        assert res.a_hat == pytest.approx(a, rel=1e-10), name
+        assert res.b_hat == pytest.approx(b, rel=1e-10), name
+        assert res.ties_dropped == ties, name
+        assert cc.fit_groupwise(data, 2) == cc.fit_pairwise(cc.build_pairs(data))
+
+
+@pytest.mark.parametrize("block", [None, 6])
+def test_kernel_errors_match_oracle(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cc.pseudolik, "_BLOCK", block)
+    cases = [
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 5.0], cc.SeparationError, +1),
+        ([3.0, 1.0, 2.0, 0.0], [0.0, 1.0, 1.0, 5.0], cc.SeparationError, -1),
+        ([1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0], cc.DomainError, None),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], cc.DataError, None),
+    ]
+    for xs, ys, err, direction in cases:
+        data = complete_dataset(xs, ys)
+        with pytest.raises(err) as want:
+            oracle_fit(data)
+        with pytest.raises(err) as got:
+            cc.fit_pairwise(cc.build_pairs(data))
+        assert type(got.value) is type(want.value)
+        if direction is not None:
+            assert got.value.direction == want.value.direction == direction
+
+
+def test_ties_counted_from_runs_of_equal_y():
+    data = complete_dataset([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+    design = cc.build_pairs(data)
+    assert design.ties_dropped == 3 + 1
+    assert len(design.u) == 15 - design.ties_dropped
+
+
+def test_nonpositive_b_hat_raises_numerical_error():
+    data = complete_dataset([-0.218792, -1.245911, -0.732267, -0.544259, -0.3163],
+                            [0.302235, 0.419558, -0.494668, 1.094334, -0.823345])
+    assert cc.fit_pairwise(cc.build_pairs(data)).converged
+    with pytest.raises(cc.NumericalError, match="b_hat"):
+        cc.fit_pairwise_with_variance(data)
+
+
+def test_fit_with_variance_memory_is_bounded_by_a_block():
+    import tracemalloc
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=3000)
+    data = complete_dataset(x, 0.3 * x + rng.normal(size=3000))
+    tracemalloc.start()
+    try:
+        res = cc.fit_pairwise_with_variance(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # the 4.5M pairs would take 36 MB per float64 array
+    assert peak < 32 * 2 ** 20
