@@ -37,8 +37,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .gee import PROPENSITY_FLOOR
+from .errors import DataError
+from .families import expit
+from .gee import check_floor
 from .glm import fit_logistic
 from .model import ObservedDataset
 
@@ -71,14 +72,6 @@ class AipwResult:
     n_total: int
 
 
-def _floor(p, what):
-    p = np.asarray(p, dtype=float)
-    if np.any(p < PROPENSITY_FLOOR):
-        i = int(np.argmax(p < PROPENSITY_FLOOR))
-        raise NumericalError(f"{what} below floor at record {i} (value {p[i]!r})")
-    return p
-
-
 def aipw_permutation(data: ObservedDataset, h_fn: Callable,
                      nuisance: PermutationNuisance) -> AipwResult:
     """Two-stage augmented estimator of E[h(X, Y)] plus the plain IPW one."""
@@ -88,11 +81,11 @@ def aipw_permutation(data: ObservedDataset, h_fn: Callable,
     rx = data.r_x.astype(float)
     ry = data.r_y.astype(float)
     x_star = np.where(data.r_x == 1, data.x, MISSING_TOKEN)
-    pi_star = _floor(nuisance.pi_star(data.r_x, x_star), "pi_star")
+    pi_star = check_floor(nuisance.pi_star(data.r_x, x_star), "pi_star")
 
     # plain weighting estimator over complete cases
     cm = data.complete_mask
-    w_c = _floor(nuisance.w(data.y[cm]), "w")
+    w_c = check_floor(nuisance.w(data.y[cm]), "w")
     h_c = np.asarray(h_fn(data.x[cm], data.y[cm]), dtype=float)
     beta_ipw = float(np.sum(h_c / (w_c * pi_star[cm])) / n)
 
@@ -104,7 +97,7 @@ def aipw_permutation(data: ObservedDataset, h_fn: Callable,
         phi_obs = m_h_y.copy()
         both = cm[ym]
         if np.any(both):
-            w_y = _floor(nuisance.w(data.y[ym][both]), "w")
+            w_y = check_floor(nuisance.w(data.y[ym][both]), "w")
             h_val = np.asarray(h_fn(data.x[ym][both], data.y[ym][both]), dtype=float)
             phi_obs[both] += (h_val - m_h_y[both]) / w_y
         phi[ym] = phi_obs
@@ -138,11 +131,9 @@ def fit_permutation_nuisances(data: ObservedDataset, h_fn: Callable
     mh_coef, *_ = np.linalg.lstsq(Xy, h_c, rcond=None)
 
     def w(y):
-        from .families import expit
         return expit(w_fit.coef[0] + w_fit.coef[1] * np.asarray(y, dtype=float))
 
     def pi_star(r, xs):
-        from .families import expit
         r = np.asarray(r, dtype=float)
         xs = np.asarray(xs, dtype=float)
         return expit(pi_fit.coef[0] + pi_fit.coef[1] * r + pi_fit.coef[2] * xs * r)

@@ -22,7 +22,8 @@ from .errors import ConfigError, CrissCrossError, DataError, DomainError, Numeri
 from .experiments import ExperimentConfig, bootstrap, run_experiment, write_summary
 from .gee import (NonOptimalF, NormalLinear, estimate_binary_2x2,
                   fit_propensity, optimal_f, solve_gee)
-from .identify import (build_jacobian, case_study, sufficient_knowledge_search)
+from .identify import (CASE_STUDIES, build_jacobian, case_study, full_law_verdict,
+                       sufficient_knowledge_search)
 from .model import (ExpFamilySpec, MissingnessMechanism, TargetLawParams,
                     or_from_theta)
 from .pseudolik import (build_pairs, fit_groupwise, fit_pairwise,
@@ -184,7 +185,6 @@ def _params_from_config(cfg: dict) -> tuple[ExpFamilySpec, TargetLawParams]:
 
 
 def _cmd_identify(args):
-    from .identify import CASE_STUDIES
     if args.list_cases:
         print(json.dumps({name: c.summary for name, c in CASE_STUDIES.items()},
                          indent=2))
@@ -197,17 +197,16 @@ def _cmd_identify(args):
             theta = case.random_theta(np.random.default_rng(args.seed))
         support = cfg.get("support_points", case.default_support)
         report = case.build(theta, support)
-        verdict = case.verdict()
+        spec = case.spec
     elif cfg:
         spec, params = _params_from_config(cfg)
         support = cfg.get("support_points")
         if support is None:
             raise ConfigError("generic identify configs need support_points")
         report = build_jacobian(spec, params, support)
-        from .identify import full_law_verdict
-        verdict = full_law_verdict(spec)
     else:
         raise ConfigError("identify needs --case or a --config file")
+    verdict = full_law_verdict(spec)
     report = sufficient_knowledge_search(report, args.max_set_size)
     payload = {
         "param_names": list(report.param_names),
@@ -285,7 +284,7 @@ def _cmd_estimate(args):
             pilot_res = solve_gee(data, model, pi_model, NonOptimalF())
             if not pilot_res.converged:
                 raise NumericalError("pilot (non-optimal) GEE did not converge")
-            weight = optimal_f(data, model, pi_model, pilot_res.theta_hat)
+            weight = optimal_f(pi_model, pilot_res.theta_hat)
         else:
             weight = NonOptimalF()
         res = solve_gee(data, model, pi_model, weight)

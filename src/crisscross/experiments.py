@@ -32,7 +32,7 @@ import numpy as np
 from .dataio import save_report
 from .errors import ConfigError, CrissCrossError, DataError
 from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
-from .model import ObservedDataset, derive_conditional, or_from_theta
+from .model import ObservedDataset, or_from_theta
 from .pseudolik import fit_pairwise_with_variance
 from .simulate import (MISSPECIFIED_MECHANISM, SECTION61_MECHANISM,
                        SECTION61_TARGET, BivariateNormalTarget, ScenarioConfig,
@@ -167,10 +167,12 @@ def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
     return est, ses
 
 
-def _fit_gee(data: ObservedDataset, point: SweepPoint, weight) -> tuple[dict, dict]:
+def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dict]:
+    """GEE with the plain weight, or the optimal one when a pilot is given."""
     model = NormalLinear(known=point.known, sigma2=point.sigma2)
     pi_model = fit_propensity(data, quadratic=False)
-    res = solve_gee(data, model, pi_model, weight(data, model, pi_model))
+    weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
+    res = solve_gee(data, model, pi_model, weight)
     if not res.converged:
         raise DataError("GEE did not converge")
     est = dict(zip(res.param_names, res.theta_hat))
@@ -207,19 +209,14 @@ def run_experiment(config: ExperimentConfig, output_prefix=None
                 datasets, lambda d: _fit_pseudolik(d), config.threads)
         nonopt = None
         if "gee_nonoptimal" in config.methods or "gee_optimal" in config.methods:
-            nonopt = _collect(
-                datasets,
-                lambda d: _fit_gee(d, point, lambda *_: NonOptimalF()),
-                config.threads)
+            nonopt = _collect(datasets, lambda d: _fit_gee(d, point, None),
+                              config.threads)
         if "gee_nonoptimal" in config.methods:
             per_method["gee_nonoptimal"] = nonopt
         if "gee_optimal" in config.methods:
             pilot = _pilot_from(nonopt, point)
             per_method["gee_optimal"] = _collect(
-                datasets,
-                lambda d: _fit_gee(d, point,
-                                   lambda dd, mm, pp: optimal_f(dd, mm, pp, pilot)),
-                config.threads)
+                datasets, lambda d: _fit_gee(d, point, pilot), config.threads)
 
         for method, (est_list, se_list, n_failed) in per_method.items():
             failures[(point.label, method)] = n_failed

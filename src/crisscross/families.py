@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -67,18 +66,10 @@ class FamilyTable:
     name: Family
     b: Callable
     b_prime: Callable          # mu(eta)
-    b_double_prime: Callable
     mean_inv: Callable         # eta as a function of the mean
     mean_inv_prime: Callable
-    c: Callable                # c(y; Phi)
-    dc_dphi: Callable          # d c(y; Phi) / d Phi
     eta_domain: Callable       # bool mask of valid natural parameters
     mean_domain: Callable      # bool mask of valid means
-    has_free_dispersion: bool  # Phi unknown unless declared known
-
-
-def _ones(y, phi=None):
-    return np.zeros_like(np.asarray(y, dtype=float))
 
 
 _FAMILIES = {
@@ -86,53 +77,37 @@ _FAMILIES = {
         name=Family.NORMAL,
         b=lambda e: 0.5 * e ** 2,
         b_prime=lambda e: e,
-        b_double_prime=lambda e: np.ones_like(np.asarray(e, dtype=float)),
         mean_inv=lambda m: m,
         mean_inv_prime=lambda m: np.ones_like(np.asarray(m, dtype=float)),
-        c=lambda y, phi: -0.5 * y ** 2 / phi - 0.5 * np.log(2 * np.pi * phi),
-        dc_dphi=lambda y, phi: 0.5 * y ** 2 / phi ** 2 - 0.5 / phi,
         eta_domain=lambda e: np.isfinite(e),
         mean_domain=lambda m: np.isfinite(m),
-        has_free_dispersion=True,
     ),
     Family.BERNOULLI: FamilyTable(
         name=Family.BERNOULLI,
         b=lambda e: np.logaddexp(0.0, e),
         b_prime=expit,
-        b_double_prime=lambda e: expit(e) * (1.0 - expit(e)),
         mean_inv=logit,
         mean_inv_prime=lambda m: 1.0 / (m * (1.0 - m)),
-        c=lambda y, phi: _ones(y),
-        dc_dphi=lambda y, phi: _ones(y),
         eta_domain=lambda e: np.isfinite(e),
         mean_domain=lambda m: (m > 0) & (m < 1),
-        has_free_dispersion=False,
     ),
     Family.POISSON: FamilyTable(
         name=Family.POISSON,
         b=np.exp,
         b_prime=np.exp,
-        b_double_prime=np.exp,
         mean_inv=np.log,
         mean_inv_prime=lambda m: 1.0 / m,
-        c=lambda y, phi: -gammaln(np.asarray(y, dtype=float) + 1.0),
-        dc_dphi=lambda y, phi: _ones(y),
         eta_domain=lambda e: np.isfinite(e),
         mean_domain=lambda m: m > 0,
-        has_free_dispersion=False,
     ),
     Family.EXPONENTIAL: FamilyTable(
         name=Family.EXPONENTIAL,
         b=lambda e: -np.log(-e),
         b_prime=lambda e: -1.0 / e,
-        b_double_prime=lambda e: 1.0 / e ** 2,
         mean_inv=lambda m: -1.0 / m,
         mean_inv_prime=lambda m: 1.0 / m ** 2,
-        c=lambda y, phi: _ones(y),
-        dc_dphi=lambda y, phi: _ones(y),
         eta_domain=lambda e: e < 0,
         mean_domain=lambda m: m > 0,
-        has_free_dispersion=False,
     ),
 }
 

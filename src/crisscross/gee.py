@@ -57,17 +57,18 @@ class PropensityModel:
     converged: bool
     separation_flag: bool
 
-    def design(self, x):
+    @staticmethod
+    def design(x, quadratic: bool):
         x = np.asarray(x, dtype=float)
         cols = [np.ones_like(x), x]
-        if self.quadratic:
+        if quadratic:
             cols.append(x ** 2)
         return np.column_stack(cols)
 
     def pi(self, x):
         if not self.fitted:
             raise NumericalError("propensity model has no finite fit")
-        return expit(self.design(x) @ self.coefficients)
+        return expit(self.design(x, self.quadratic) @ self.coefficients)
 
     @staticmethod
     def known(coefficients, quadratic=False) -> "PropensityModel":
@@ -94,23 +95,22 @@ def fit_propensity(data: ObservedDataset, quadratic: bool = False) -> Propensity
         coef[0] = math.log(rate) - math.log1p(-rate)
         return PropensityModel(coef, quadratic, fitted=True, iterations=0,
                                converged=True, separation_flag=False)
-    cols = [np.ones_like(x), x] + ([x ** 2] if quadratic else [])
-    fit: LogisticFit = fit_logistic(np.column_stack(cols), t)
+    fit: LogisticFit = fit_logistic(PropensityModel.design(x, quadratic), t)
     return PropensityModel(fit.coef, quadratic, fitted=True,
                            iterations=fit.iterations, converged=fit.converged,
                            separation_flag=fit.separation_flag)
 
 
-def _pi_with_floor(pi_model: PropensityModel, x):
-    pi = np.asarray(pi_model.pi(x), dtype=float)
-    bad = pi < PROPENSITY_FLOOR
+def check_floor(p, what: str) -> np.ndarray:
+    """p as a float array; raises at the first record below PROPENSITY_FLOOR
+    instead of truncating its weight."""
+    p = np.asarray(p, dtype=float)
+    bad = p < PROPENSITY_FLOOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NumericalError(
-            f"propensity below floor {PROPENSITY_FLOOR:g} at record {i} "
-            f"(x={np.asarray(x)[i]!r}, pi={pi[i]!r}); refusing to truncate"
-        )
-    return pi
+        raise NumericalError(f"{what} below floor {PROPENSITY_FLOOR:g} at record {i} "
+                             f"(value {p[i]!r}); refusing to truncate")
+    return p
 
 
 # --------------------------------------------------------------------- #
@@ -280,8 +280,7 @@ class OptimalF:
         return model.a(y, self.theta_pilot) / inner[:, None]
 
 
-def optimal_f(data: ObservedDataset, model, pi_model: PropensityModel,
-              theta_pilot) -> OptimalF:
+def optimal_f(pi_model: PropensityModel, theta_pilot) -> OptimalF:
     return OptimalF(pi_model=pi_model,
                     theta_pilot=np.atleast_1d(np.asarray(theta_pilot, dtype=float)))
 
@@ -309,29 +308,30 @@ class GeeResult:
         return np.sqrt(np.diag(self.sandwich_cov) / self.n_total)
 
 
-def _complete_parts(data, pi_model, f, model, theta):
+def _weighted_cases(data: ObservedDataset, model, pi_model: PropensityModel, f):
+    """(xc, yc, pi, F): the complete cases, their floored propensities and
+    weight values f(y).  None depends on theta, so a fit builds them once."""
     xc, yc = data.complete_xy()
     if len(xc) == 0:
         raise DataError("no complete cases")
-    pi = _pi_with_floor(pi_model, xc)
+    pi = check_floor(pi_model.pi(xc), "propensity")
     F = np.atleast_2d(f.values(yc, model))
     if F.shape[0] != len(yc):
         F = F.T
+    return xc, yc, pi, F
+
+
+def _residual(cases, model, theta, n_total) -> np.ndarray:
+    xc, yc, pi, F = cases
     resid = xc - model.h(yc, theta)
-    return xc, yc, pi, F, resid
+    return (F * (resid / pi)[:, None]).sum(axis=0) / n_total
 
 
 def gee_residual(data: ObservedDataset, model, pi_model: PropensityModel,
                  f, theta) -> np.ndarray:
     """(1/N) sum over complete cases of f(y) (x - h(y; theta)) / pi(x)."""
-    _, _, pi, F, resid = _complete_parts(data, pi_model, f, model, theta)
-    return (F * (resid / pi)[:, None]).sum(axis=0) / data.n_total
-
-
-def _gee_jacobian(data, model, pi_model, f, theta):
-    xc, yc, pi, F, _ = _complete_parts(data, pi_model, f, model, theta)
-    A = model.a(yc, theta)
-    return -(F * (1.0 / pi)[:, None]).T @ A / data.n_total
+    return _residual(_weighted_cases(data, model, pi_model, f), model, theta,
+                     data.n_total)
 
 
 def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
@@ -341,10 +341,13 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
     longer than theta); linear mean models converge in one step."""
     theta = np.asarray(theta_init, dtype=float) if theta_init is not None \
         else model.theta0()
-    g = gee_residual(data, model, pi_model, f, theta)
+    cases = _weighted_cases(data, model, pi_model, f)
+    _, yc, pi, F = cases
+    g = _residual(cases, model, theta, data.n_total)
     if len(g) < model.dim:
         raise DomainError("f must have at least dim(theta) components")
     square = len(g) == model.dim
+    f_over_pi = F * (1.0 / pi)[:, None]
 
     def stationary(g_val, jac):
         # exact root for square systems, least-squares stationarity otherwise
@@ -355,7 +358,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        J = _gee_jacobian(data, model, pi_model, f, theta)
+        J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
         if stationary(g, J):
             converged = True
             break
@@ -370,7 +373,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
-            g_new = gee_residual(data, model, pi_model, f, cand)
+            g_new = _residual(cases, model, cand, data.n_total)
             if np.linalg.norm(g_new) <= norm0 * (1.0 + 1e-12):
                 break
             scale *= 0.5
@@ -381,7 +384,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
     c_hat, d_hat, cov = (None, None, None)
     if converged and square:
         try:
-            c_hat, d_hat, cov = sandwich_gee(data, model, pi_model, f, theta)
+            c_hat, d_hat, cov = _sandwich(cases, model, theta, data.n_total)
         except NumericalError:
             pass
     return GeeResult(theta_hat=theta, param_names=model.free_names,
@@ -394,11 +397,16 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
 def sandwich_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
                  theta_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C_hat, D_hat, C^{-1} D C^{-T}); divide by N for Var(theta_hat)."""
-    xc, yc, pi, F, resid = _complete_parts(data, pi_model, f, model, theta_hat)
+    return _sandwich(_weighted_cases(data, model, pi_model, f), model, theta_hat,
+                     data.n_total)
+
+
+def _sandwich(cases, model, theta_hat, N):
+    xc, yc, pi, F = cases
     if F.shape[1] != model.dim:
         raise NumericalError("sandwich needs a square system (dim f = dim theta)")
+    resid = xc - model.h(yc, theta_hat)
     A = model.a(yc, theta_hat)
-    N = data.n_total
     c_hat = (A * (1.0 / pi)[:, None]).T @ F / N
     d_hat = (F * ((resid ** 2) / pi ** 2)[:, None]).T @ F / N
     try:

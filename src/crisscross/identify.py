@@ -26,14 +26,14 @@ computed here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
-from .families import Family, Link, link_table
+from .families import Family, Link, check_predictor_domain, link_table
 from .model import ExpFamilySpec, TargetLawParams
 
 RANK_REL_TOL = 1e-9
@@ -230,7 +230,7 @@ def equation_stack(spec: ExpFamilySpec, params: TargetLawParams,
         out = []
         for xi in support[1:]:
             mi = predictor(a, b, xi)
-            _check(table, (mi, m0))
+            check_predictor_domain(table, (mi, m0))
             out.append((table.phi(mi) - table.phi(m0)) / ph)
         for xi in support[1:]:
             mi = predictor(a, b, xi)
@@ -247,7 +247,7 @@ def equation_stack(spec: ExpFamilySpec, params: TargetLawParams,
         for xi in support[1:]:
             xiv = np.atleast_1d(xi)
             mi = predictor(a, b, xi)
-            _check(table, (mi, m0))
+            check_predictor_domain(table, (mi, m0))
             fp_i, fp_0 = table.phi_prime(mi), table.phi_prime(m0)
             row = np.concatenate([
                 [(fp_i - fp_0) / ph],
@@ -273,15 +273,6 @@ def equation_stack(spec: ExpFamilySpec, params: TargetLawParams,
                          support=tuple(tuple(np.atleast_1d(p)) if np.ndim(p) else float(p)
                                        for p in support),
                          equations=equations, jacobian=jacobian)
-
-
-def _check(table, predictors):
-    for m in predictors:
-        if not bool(np.all(table.predictor_domain(np.asarray(m)))):
-            raise DomainError(
-                f"support point hits a link singularity: predictor {m!r} "
-                f"for {table.family.value}/{table.link.value}"
-            )
 
 
 def _scalarize(v):
@@ -385,16 +376,11 @@ class CaseStudy:
     build: Callable                  # (theta: dict, support) -> JacobianReport
     random_theta: Callable           # rng -> dict
     default_support: tuple | None
-    spec: ExpFamilySpec | None       # None for bespoke parameterizations
-    exp_family_conditional: bool
+    spec: ExpFamilySpec
     summary: str
 
     def verdict(self) -> FullLawVerdict:
-        if self.exp_family_conditional:
-            return FullLawVerdict(True, "yes",
-                                  "p(X|Y) is exponential-family, completeness holds")
-        return FullLawVerdict(False, "unknown",
-                              "p(X|Y) leaves the exponential family; completeness undecided")
+        return full_law_verdict(self.spec)
 
 
 def _bivariate_jacobian(theta: dict, support=None) -> JacobianReport:
@@ -458,7 +444,6 @@ def _registry() -> dict:
         },
         default_support=None,
         spec=ExpFamilySpec(Family.NORMAL, Family.NORMAL, Link.CANONICAL),
-        exp_family_conditional=True,
         summary="bivariate normal (X, Y); three conditional functionals vs five parameters",
     )
 
@@ -480,7 +465,6 @@ def _registry() -> dict:
         },
         default_support=(0.5, 1.0, 1.8, 2.5, 3.3),
         spec=spec_c2,
-        exp_family_conditional=False,
         summary="normal X, normal Y|X with inverse link",
     )
 
@@ -493,7 +477,6 @@ def _registry() -> dict:
         })(rng.uniform(0.05, 0.6)),
         default_support=(0.0, 1.0),
         spec=ExpFamilySpec(Family.BERNOULLI, Family.BERNOULLI, Link.CANONICAL),
-        exp_family_conditional=True,
         summary="binary X and Y, mean parameterization",
     )
 
@@ -513,7 +496,6 @@ def _registry() -> dict:
         },
         default_support=(0.0, 1.0),
         spec=spec_c4,
-        exp_family_conditional=True,
         summary="Bernoulli X, normal Y|X, canonical link",
     )
 
@@ -533,7 +515,6 @@ def _registry() -> dict:
         },
         default_support=(0.0, 1.0, 2.0, 3.0),
         spec=spec_c5,
-        exp_family_conditional=True,
         summary="Poisson X, normal Y|X, canonical link",
     )
 
@@ -553,7 +534,6 @@ def _registry() -> dict:
         },
         default_support=(0.0, 0.7, 1.6, 2.9),
         spec=spec_c6,
-        exp_family_conditional=True,
         summary="exponential X, normal Y|X, canonical link",
     )
 
@@ -573,7 +553,6 @@ def _registry() -> dict:
         },
         default_support=(0.0, 1.0, 2.0, 3.0),
         spec=spec_c7,
-        exp_family_conditional=False,
         summary="exponential X, exponential Y|X, canonical link (a + b x < 0)",
     )
 
@@ -597,7 +576,6 @@ def _registry() -> dict:
         },
         default_support=None,
         spec=spec_mvn,
-        exp_family_conditional=True,
         summary="multivariate-normal X (known covariance), normal Y|X",
     )
 
@@ -618,7 +596,6 @@ def _registry() -> dict:
         },
         default_support=None,
         spec=spec_mn,
-        exp_family_conditional=True,
         summary="multinomial X (known trial count), normal Y|X",
     )
 

@@ -42,7 +42,7 @@ from .model import ObservedDataset
 
 SCORE_TOL = 1e-8
 MAX_ITER = 100
-_BLOCK = 1 << 16        # d-matrix cells per kernel block
+_BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
 _LOG2 = math.log(2.0)
 
 
@@ -228,10 +228,11 @@ def _index_blocks(n, group_size, chunk):
         yield np.array(block)
 
 
-def _group_deltas(xc, yc, group_size, chunk=200_000):
-    """Yield (m, g!) arrays of S_P - S_id over index combinations."""
+def _group_deltas(xc, yc, group_size):
+    """Yield (m, g!) arrays of S_P - S_id over index combinations, at most
+    _BLOCK contrasts per array."""
     perms = list(itertools.permutations(range(group_size)))
-    for idx in _index_blocks(len(xc), group_size, chunk):
+    for idx in _index_blocks(len(xc), group_size, _BLOCK // len(perms)):
         xg, yg = xc[idx], yc[idx]                   # (m, g)
         s_id = np.sum(xg * yg, axis=1)
         deltas = np.empty((len(idx), len(perms)))

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, DomainError
-from .families import Family, Link, family_table, link_table
+from .families import Family, check_predictor_domain, family_table, link_table
 from .model import (ExpFamilySpec, MissingnessMechanism, ObservedDataset,
                     TargetLawParams, derive_conditional)
 
@@ -135,12 +135,7 @@ def _draw_exp_family(spec: ExpFamilySpec, params: TargetLawParams, n, rng):
 
     table = link_table(spec.family_y_given_x, spec.link)
     m = params.alpha + params.beta[0] * x
-    ok = table.predictor_domain(m)
-    if not np.all(ok):
-        raise DomainError(
-            f"mean-domain violation for Y|X family {spec.family_y_given_x.value}: "
-            f"predictor {m[~ok][0]!r}"
-        )
+    check_predictor_domain(table, m)
     eta = table.phi(m)
     fam_y = family_table(spec.family_y_given_x)
     mu = fam_y.b_prime(eta)

@@ -181,7 +181,7 @@ def test_optimal_weight_constant_inner_expectation_matches_nonoptimal_root():
     data = complete_dataset(x, y)
     model = cc.NormalLinear(sigma2=8.19)
     base = cc.solve_gee(data, model, PI_ONE, cc.NonOptimalF())
-    fopt = cc.optimal_f(data, model, PI_ONE, base.theta_hat)
+    fopt = cc.optimal_f(PI_ONE, base.theta_hat)
     vals = fopt.values(y[:50], model)
     plain = cc.NonOptimalF().values(y[:50], model)
     # with pi = 1 the inner expectation is the constant sigma^2
@@ -211,7 +211,7 @@ def test_optimal_weight_binary_two_point_sum_matches_enumeration():
 
 def test_optimal_weight_requires_sigma2():
     data = complete_dataset([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    fopt = cc.optimal_f(data, cc.NormalLinear(), PI_ONE, np.zeros(2))
+    fopt = cc.optimal_f(PI_ONE, np.zeros(2))
     with pytest.raises(cc.DomainError):
         fopt.values(np.array([1.0]), cc.NormalLinear())
 
@@ -241,6 +241,42 @@ def test_sandwich_matrices_are_psd(section61_small):
     assert np.all(np.linalg.eigvalsh(res.sandwich_cov) >= -1e-10)
     assert np.allclose(res.sandwich_cov, res.sandwich_cov.T)
     assert np.all(np.isfinite(res.c_hat))
+
+
+class CountingF:
+    """Wraps a weight and counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def values(self, y, model):
+        self.calls += 1
+        return self.inner.values(y, model)
+
+
+@pytest.mark.parametrize("optimal, theta, cov", [
+    (False, [-1.8857064574330296, 1.0430769561603916],
+     [[1413.138586723546, -450.9268649766594], [-450.9268649766594, 152.69887244292408]]),
+    (True, [-1.831656545295389, 1.025244579788895],
+     [[1252.2890118087078, -392.9774757808212], [-392.9774757808212, 131.7673062696271]]),
+])
+def test_solve_evaluates_the_weight_once_per_fit(optimal, theta, cov):
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               2000, seed=31)
+    data = cc.simulate_dataset(config).observed
+    pi = cc.fit_propensity(data)
+    model = cc.NormalLinear(sigma2=8.19)
+    f = CountingF(cc.optimal_f(pi, [-1.4, 0.9]) if optimal else cc.NonOptimalF())
+    res = cc.solve_gee(data, model, pi, f)
+    assert f.calls == 1
+    assert res.converged and res.iterations == 2
+    # values recorded when every residual, Jacobian and sandwich
+    # evaluation recomputed the weights (five calls per fit)
+    assert np.allclose(res.theta_hat, theta, rtol=1e-13, atol=0)
+    assert np.allclose(res.sandwich_cov, cov, rtol=1e-13, atol=0)
+    assert np.array_equal(res.sandwich_cov,
+                          cc.sandwich_gee(data, model, pi, f, res.theta_hat)[2])
 
 
 # ------------------------------------------------------------------ #

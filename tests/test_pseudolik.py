@@ -411,3 +411,20 @@ def test_fit_with_variance_memory_is_bounded_by_a_block():
     assert res.converged
     # the 4.5M pairs would take 36 MB per float64 array
     assert peak < 32 * 2 ** 20
+
+
+def test_groupwise_memory_is_bounded_by_a_block():
+    import tracemalloc
+    rng = np.random.default_rng(43)
+    y = rng.normal(2, 1, 36)
+    data = complete_dataset(-1.4 + 0.9 * y + rng.normal(0, 2.8, 36), y)
+    tracemalloc.start()
+    try:
+        res = cc.fit_groupwise(data, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # the (58905, 24) contrasts are kept (11 MB); one chunk of all the
+    # groups at once would add about 60 MB of temporaries
+    assert peak < 32 * 2 ** 20
