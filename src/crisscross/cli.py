@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,6 +37,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -151,9 +154,12 @@ def _cmd_simulate(args):
     cfg = _load_config(args)
     mech = _mechanism(cfg, getattr(args, "misspecified", False))
     if args.binary:
-        cells = tuple(float(v) for v in args.binary.split(","))
+        try:
+            cells = [float(v) for v in args.binary.split(",")]
+        except ValueError:
+            cells = []
         if len(cells) != 4:
-            raise ConfigError("--binary needs four comma-separated cells")
+            raise ConfigError("--binary needs four comma-separated numbers")
         target = Binary2x2Model(*cells)
     elif "target" in cfg:
         target = BivariateNormalTarget(**cfg["target"])
@@ -233,12 +239,22 @@ def _parse_known(spec: str | None) -> dict:
     if not spec:
         return {}
     name, _, value = spec.partition("=")
-    if not value:
-        raise ConfigError("--known expects NAME=VALUE")
-    return {name.strip(): float(value)}
+    name = name.strip()
+    if name not in ("alpha", "beta"):
+        raise ConfigError("--known expects alpha=VALUE or beta=VALUE")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"--known value {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise DomainError(f"--known value must be finite, got {value!r}")
+    return {name: number}
 
 
 def _cmd_estimate(args):
+    known = _parse_known(args.known)
+    if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
+        raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
     data = load_dataset(args.data)
     payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
     if args.method == "pseudolik":
@@ -264,9 +280,7 @@ def _cmd_estimate(args):
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary estimation needs --theta11")
-        pi_model = fit_propensity(data)
-        weight = NonOptimalF()
-        res = estimate_binary_2x2(data, args.theta11, pi_model, weight)
+        res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
         payload.update({
             "theta11": res.theta11,
             "cells": {"theta12": res.cells[0], "theta21": res.cells[1],
@@ -275,7 +289,6 @@ def _cmd_estimate(args):
             "converged": res.gee.converged, "iterations": res.gee.iterations,
         })
     else:
-        known = _parse_known(args.known)
         model = NormalLinear(known=known, sigma2=args.sigma2)
         pi_model = fit_propensity(data)
         if args.f == "optimal":
@@ -302,7 +315,10 @@ def _cmd_estimate(args):
         if args.sigma2 is not None and "beta" in payload["estimates"]:
             theta = payload["estimates"]["beta"] / args.sigma2
             se_b = payload.get("se", {}).get("beta", 0.0)
-            or_point, or_se = or_from_theta(theta, (se_b / args.sigma2) ** 2)
+            try:
+                or_point, or_se = or_from_theta(theta, (se_b / args.sigma2) ** 2)
+            except OverflowError:       # the squared SE ratio
+                raise NumericalError("odds-ratio SE overflows at this --sigma2") from None
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
     if args.out:
         save_report(payload, args.out)
@@ -357,8 +373,7 @@ def _cmd_bootstrap(args):
             raise ConfigError("binary bootstrap needs --theta11")
 
         def fit(d):
-            res = estimate_binary_2x2(d, args.theta11, fit_propensity(d),
-                                      NonOptimalF())
+            res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
             return {"log_or": res.log_odds_ratio,
                     "theta12": res.cells[0], "theta21": res.cells[1],
                     "theta22": res.cells[2]}

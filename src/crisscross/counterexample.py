@@ -32,6 +32,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
 
+GRID_LO, GRID_HI = -8.0, 10.0
 _SQ56 = math.sqrt(5.0 / 6.0)
 _MODEL2_RY0_CONST = math.exp(-8.0 / 9.0) * 2.0 * math.sqrt(3.0) / 5.0
 
@@ -77,7 +78,6 @@ class CounterexampleReport:
     max_abs_discrepancy: dict       # per pattern "11", "10", "01", "00"
     target_law_variances: tuple     # (Var_1(Y), Var_2(Y))
     grid: tuple                     # (lo, hi, step)
-    quad_tol: float
 
     @property
     def observed_laws_match(self) -> bool:
@@ -91,15 +91,18 @@ def _quad(f, a, b, tol):
     return val
 
 
-def verify_counterexample(lo: float = -8.0, hi: float = 10.0, step: float = 0.05,
-                          quad_tol: float = 1e-9) -> CounterexampleReport:
-    """Max observed-law discrepancy between the two models, per pattern."""
-    if step > 0.05 or lo > -8.0 or hi < 10.0:
-        raise DomainError("grid must cover [-8, 10] with step <= 0.05")
-    grid = np.arange(lo, hi + step / 2, step)
+def verify_counterexample(step: float = 0.05, quad_tol: float = 1e-9
+                          ) -> CounterexampleReport:
+    """Max observed-law discrepancy between the two models, per pattern, on
+    the grid [GRID_LO, GRID_HI] with spacing ``step``."""
+    if not 0 < step <= 0.05:
+        raise DomainError(f"grid step must lie in (0, 0.05], got {step!r}")
+    if not 0 < quad_tol < math.inf:
+        raise DomainError(f"quadrature tolerance must be finite and > 0: {quad_tol!r}")
+    grid = np.arange(GRID_LO, GRID_HI + step / 2, step)
     # every density factor is a Gaussian centered inside the grid, so
     # integration can stop a dozen units past it (tail mass << quad_tol)
-    int_lo, int_hi = lo - 12.0, hi + 12.0
+    int_lo, int_hi = GRID_LO - 12.0, GRID_HI + 12.0
 
     # pattern (1,1): joint density over the 2-d grid, closed form
     xg, yg = np.meshgrid(grid, grid)
@@ -141,6 +144,5 @@ def verify_counterexample(lo: float = -8.0, hi: float = 10.0, step: float = 0.05
     return CounterexampleReport(
         max_abs_discrepancy={"11": d11, "10": d10, "01": d01, "00": d00},
         target_law_variances=(y_variance(MODEL1), y_variance(MODEL2)),
-        grid=(lo, hi, step),
-        quad_tol=quad_tol,
+        grid=(GRID_LO, GRID_HI, step),
     )

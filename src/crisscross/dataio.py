@@ -37,6 +37,8 @@ def load_dataset(path) -> ObservedDataset:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != "x,y,r_x,r_y":
         raise DataError(f"{path}: expected header 'x,y,r_x,r_y'")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class ExperimentConfig:
     replicates: int = 100
     base_seed: int = 109
     n_total: int = 1000                 # sample size used by the rho sweep
-    target: BivariateNormalTarget = SECTION61_TARGET
     known: dict = field(default_factory=dict)   # e.g. {"alpha": "truth"} or a number
     threads: int = 1
 
@@ -82,14 +81,11 @@ def sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
     points = []
     for i, v in enumerate(config.values):
         if config.sweep == "rho":
-            target = BivariateNormalTarget(
-                mu1=config.target.mu1, mu2=config.target.mu2,
-                sigma1=config.target.sigma1, sigma2=config.target.sigma2,
-                rho=float(v))
+            target = replace(SECTION61_TARGET, rho=float(v))
             n_total = config.n_total
             label = f"rho={v:g}"
         else:
-            target = config.target
+            target = SECTION61_TARGET
             n_total = int(v)
             label = f"N={n_total}"
         mechanism = (MISSPECIFIED_MECHANISM if config.sweep == "misspecification"
@@ -124,7 +120,6 @@ class ReplicationSummary:
     config: ExperimentConfig
     truths: dict
     estimates: dict        # (label, method, param) -> np.ndarray
-    std_errors: dict       # (label, method, param) -> np.ndarray or None
     stats: dict            # (label, method, param) -> CellStats
     failures: dict         # (label, method) -> failure count
 
@@ -170,7 +165,7 @@ def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
 def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dict]:
     """GEE with the plain weight, or the optimal one when a pilot is given."""
     model = NormalLinear(known=point.known, sigma2=point.sigma2)
-    pi_model = fit_propensity(data, quadratic=False)
+    pi_model = fit_propensity(data)
     weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
     res = solve_gee(data, model, pi_model, weight)
     if not res.converged:
@@ -193,7 +188,6 @@ def run_experiment(config: ExperimentConfig, output_prefix=None
                   ) -> ReplicationSummary:
     points = sweep_points(config)
     estimates: dict = {}
-    std_errors: dict = {}
     stats: dict = {}
     failures: dict = {}
     truths = {p.label: dict(p.truth) for p in points}
@@ -231,11 +225,10 @@ def run_experiment(config: ExperimentConfig, output_prefix=None
                 stats[(point.label, method, param)] = _cell_stats(
                     vals, ses_arr, truth, n_failed)
                 estimates[(point.label, method, param)] = vals
-                std_errors[(point.label, method, param)] = ses_arr
 
     summary = ReplicationSummary(config=config, truths=truths,
-                                 estimates=estimates, std_errors=std_errors,
-                                 stats=stats, failures=failures)
+                                 estimates=estimates, stats=stats,
+                                 failures=failures)
     if output_prefix is not None:
         write_summary(summary, output_prefix)
     return summary
@@ -334,7 +327,6 @@ def write_summary(summary: ReplicationSummary, prefix) -> None:
 @dataclass(frozen=True)
 class BootstrapResult:
     se: dict               # parameter -> bootstrap SE
-    estimates: dict        # parameter -> np.ndarray of resample estimates
     n_failed: int
     n_resamples: int
 
@@ -361,6 +353,4 @@ def bootstrap(data: ObservedDataset, fit_fn, n_resamples: int, seed: int
     if not collected:
         raise DataError("all bootstrap resamples failed")
     se = {k: float(np.std(np.array(v), ddof=1)) for k, v in collected.items()}
-    return BootstrapResult(se=se,
-                           estimates={k: np.array(v) for k, v in collected.items()},
-                           n_failed=n_failed, n_resamples=n_resamples)
+    return BootstrapResult(se=se, n_failed=n_failed, n_resamples=n_resamples)

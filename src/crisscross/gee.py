@@ -42,42 +42,41 @@ from .glm import LogisticFit, fit_logistic
 from .model import ObservedDataset
 
 PROPENSITY_FLOOR = 1e-6
+ROOT_TOL = 1e-10
+MAX_ITER = 100
 GH_NODES = 64
 _GH_X, _GH_W = hermgauss(GH_NODES)
 
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """p(R_y = 1 | R_x = 1, X = x) = expit(c0 + c1 x [+ c2 x^2])."""
+    """p(R_y = 1 | R_x = 1, X = x) = expit(c0 + c1 x)."""
 
     coefficients: np.ndarray
-    quadratic: bool
     fitted: bool
-    iterations: int
     converged: bool
     separation_flag: bool
 
     @staticmethod
-    def design(x, quadratic: bool):
+    def design(x):
         x = np.asarray(x, dtype=float)
-        cols = [np.ones_like(x), x]
-        if quadratic:
-            cols.append(x ** 2)
-        return np.column_stack(cols)
+        return np.column_stack([np.ones_like(x), x])
 
     def pi(self, x):
         if not self.fitted:
             raise NumericalError("propensity model has no finite fit")
-        return expit(self.design(x, self.quadratic) @ self.coefficients)
+        # an (n, 2) product, not c0 + c1 x: freeing the larger block raises
+        # glibc's trim threshold, without which a pair-kernel fit later in
+        # the same process page-faults its block memory again on every pass
+        return expit(self.design(x) @ self.coefficients)
 
     @staticmethod
-    def known(coefficients, quadratic=False) -> "PropensityModel":
-        return PropensityModel(np.asarray(coefficients, dtype=float), quadratic,
-                               fitted=True, iterations=0, converged=True,
-                               separation_flag=False)
+    def known(coefficients) -> "PropensityModel":
+        return PropensityModel(np.asarray(coefficients, dtype=float), fitted=True,
+                               converged=True, separation_flag=False)
 
 
-def fit_propensity(data: ObservedDataset, quadratic: bool = False) -> PropensityModel:
+def fit_propensity(data: ObservedDataset) -> PropensityModel:
     """Logistic regression of R_y on X among rows with R_x = 1."""
     m = data.r_x == 1
     if not np.any(m):
@@ -85,19 +84,15 @@ def fit_propensity(data: ObservedDataset, quadratic: bool = False) -> Propensity
     x = data.x[m]
     t = data.r_y[m].astype(float)
     if np.all(t == t[0]):
-        return PropensityModel(np.full(3 if quadratic else 2, np.nan), quadratic,
-                               fitted=False, iterations=0, converged=False,
+        return PropensityModel(np.full(2, np.nan), fitted=False, converged=False,
                                separation_flag=True)
     if np.all(x == x[0]):
         # saturated null model: intercept-only, logit of the observed rate
         rate = float(np.mean(t))
-        coef = np.zeros(3 if quadratic else 2)
-        coef[0] = math.log(rate) - math.log1p(-rate)
-        return PropensityModel(coef, quadratic, fitted=True, iterations=0,
-                               converged=True, separation_flag=False)
-    fit: LogisticFit = fit_logistic(PropensityModel.design(x, quadratic), t)
-    return PropensityModel(fit.coef, quadratic, fitted=True,
-                           iterations=fit.iterations, converged=fit.converged,
+        coef = np.array([math.log(rate) - math.log1p(-rate), 0.0])
+        return PropensityModel.known(coef)
+    fit: LogisticFit = fit_logistic(PropensityModel.design(x), t)
+    return PropensityModel(fit.coef, fitted=True, converged=fit.converged,
                            separation_flag=fit.separation_flag)
 
 
@@ -334,13 +329,11 @@ def gee_residual(data: ObservedDataset, model, pi_model: PropensityModel,
                      data.n_total)
 
 
-def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
-              theta_init=None, tol: float = 1e-10, max_iter: int = 100
+def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
               ) -> GeeResult:
     """Newton root of the estimating equation (least squares when f is
     longer than theta); linear mean models converge in one step."""
-    theta = np.asarray(theta_init, dtype=float) if theta_init is not None \
-        else model.theta0()
+    theta = model.theta0()
     cases = _weighted_cases(data, model, pi_model, f)
     _, yc, pi, F = cases
     g = _residual(cases, model, theta, data.n_total)
@@ -352,12 +345,12 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
     def stationary(g_val, jac):
         # exact root for square systems, least-squares stationarity otherwise
         if square:
-            return np.linalg.norm(g_val) <= tol
-        return np.linalg.norm(jac.T @ g_val) <= tol
+            return np.linalg.norm(g_val) <= ROOT_TOL
+        return np.linalg.norm(jac.T @ g_val) <= ROOT_TOL
 
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
         if stationary(g, J):
             converged = True
@@ -379,8 +372,6 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
             scale *= 0.5
         theta = theta + scale * step
         g = g_new
-    else:
-        it = max_iter
     c_hat, d_hat, cov = (None, None, None)
     if converged and square:
         try:
@@ -432,14 +423,13 @@ class Binary2x2Result:
 
 
 def estimate_binary_2x2(data: ObservedDataset, theta11_known: float,
-                        pi_model: PropensityModel, f=None) -> Binary2x2Result:
-    """GEE for the free cells given theta_11, plus log OR with delta SE."""
+                        pi_model: PropensityModel) -> Binary2x2Result:
+    """Plain-weight GEE for the free cells given theta_11; log OR, delta SE."""
     xy = np.concatenate([data.x[data.r_x == 1], data.y[data.r_y == 1]])
     if not np.all(np.isin(xy, (1.0, 2.0))):
         raise DataError("binary workflow expects X, Y coded in {1, 2}")
     model = Binary2x2(theta11_known)
-    f = f if f is not None else NonOptimalF()
-    res = solve_gee(data, model, pi_model, f)
+    res = solve_gee(data, model, pi_model, NonOptimalF())
     cells = model.cells(res.theta_hat)
     if np.any(cells <= 0) or np.any(cells >= 1):
         raise NumericalError("estimated cells left (0, 1)")

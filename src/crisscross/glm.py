@@ -14,6 +14,9 @@ import numpy as np
 from .errors import NumericalError, SeparationError
 from .families import expit
 
+GRAD_TOL = 1e-10
+MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LogisticFit:
@@ -24,8 +27,7 @@ class LogisticFit:
     separation_flag: bool
 
 
-def fit_logistic(design: np.ndarray, response: np.ndarray, tol: float = 1e-10,
-                 max_iter: int = 100) -> LogisticFit:
+def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
     """Maximize the Bernoulli log-likelihood of ``response`` on ``design``."""
     X = np.asarray(design, dtype=float)
     t = np.asarray(response, dtype=float)
@@ -40,7 +42,7 @@ def fit_logistic(design: np.ndarray, response: np.ndarray, tol: float = 1e-10,
     ll = _loglik(X, t, beta)
     it = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         p_hat = expit(X @ beta)
         grad = X.T @ (t - p_hat)
         w = p_hat * (1.0 - p_hat)
@@ -59,7 +61,7 @@ def fit_logistic(design: np.ndarray, response: np.ndarray, tol: float = 1e-10,
             scale *= 0.5
         beta = beta + scale * step
         ll = max(ll, ll_new)
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= GRAD_TOL:
             converged = True
             break
 

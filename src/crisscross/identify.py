@@ -39,8 +39,8 @@ from .model import ExpFamilySpec, TargetLawParams
 RANK_REL_TOL = 1e-9
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count singular values above rel_tol times the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Count singular values above RANK_REL_TOL times the largest one."""
     m = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
@@ -49,14 +49,13 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
 @dataclass(frozen=True)
 class JacobianReport:
     j_matrix: np.ndarray
     param_names: tuple
-    support_points: tuple
     singular_values: np.ndarray
     numerical_rank: int
     full_rank: bool
@@ -72,15 +71,13 @@ class JacobianReport:
         return self.n_equations >= self.dim_theta
 
 
-def _report(j, names, support):
+def _report(j, names):
     j = np.asarray(j, dtype=float)
     s = np.linalg.svd(j, compute_uv=False) if j.size else np.array([])
     rank = numerical_rank(j)
     return JacobianReport(
         j_matrix=j,
         param_names=tuple(names),
-        support_points=tuple(np.asarray(p).tolist() if np.ndim(p) else float(p)
-                             for p in support),
         singular_values=np.sort(s)[::-1],
         numerical_rank=rank,
         full_rank=rank == j.shape[1],
@@ -181,10 +178,8 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
 class EquationStack:
     """Callable view of (phi_1..k, zeta_1..k) and their exact Jacobian."""
 
-    spec: ExpFamilySpec
     param_names: tuple
     theta0: np.ndarray
-    support: tuple
     equations: Callable
     jacobian: Callable
 
@@ -269,10 +264,8 @@ def equation_stack(spec: ExpFamilySpec, params: TargetLawParams,
             rows.append(row)
         return np.array(rows, dtype=float)
 
-    return EquationStack(spec=spec, param_names=names, theta0=theta0,
-                         support=tuple(tuple(np.atleast_1d(p)) if np.ndim(p) else float(p)
-                                       for p in support),
-                         equations=equations, jacobian=jacobian)
+    return EquationStack(param_names=names, theta0=theta0, equations=equations,
+                         jacobian=jacobian)
 
 
 def _scalarize(v):
@@ -283,15 +276,15 @@ def build_jacobian(spec: ExpFamilySpec, params: TargetLawParams,
                    support_points) -> JacobianReport:
     """Exact-partials Jacobian of the stacked contrast equations."""
     stack = equation_stack(spec, params, support_points)
-    return _report(stack.jacobian(stack.theta0), stack.param_names, stack.support)
+    return _report(stack.jacobian(stack.theta0), stack.param_names)
 
 
 # --------------------------------------------------------------------- #
 # sufficient knowledge sets
 # --------------------------------------------------------------------- #
 
-def sufficient_knowledge_search(report: JacobianReport, max_set_size: int,
-                                rel_tol: float = RANK_REL_TOL) -> JacobianReport:
+def sufficient_knowledge_search(report: JacobianReport, max_set_size: int
+                                ) -> JacobianReport:
     """All minimal parameter sets whose removal leaves full column rank.
 
     Subsets are enumerated by increasing size, lexicographically by
@@ -308,7 +301,7 @@ def sufficient_knowledge_search(report: JacobianReport, max_set_size: int,
                 continue
             keep = sorted(i for n, i in index.items() if n not in combo)
             sub = j[:, keep]
-            if sub.shape[1] == 0 or numerical_rank(sub, rel_tol) == sub.shape[1]:
+            if sub.shape[1] == 0 or numerical_rank(sub) == sub.shape[1]:
                 found.append(combo)
     found.sort(key=lambda c: (len(c), c))
     return replace(report, sufficient_sets=tuple(found))
@@ -369,9 +362,8 @@ def full_law_verdict(spec: ExpFamilySpec) -> FullLawVerdict:
 
 @dataclass(frozen=True)
 class CaseStudy:
-    """A named family configuration with a ready-made Jacobian builder."""
+    """A family configuration with a ready-made Jacobian builder."""
 
-    name: str
     param_names: tuple
     build: Callable                  # (theta: dict, support) -> JacobianReport
     random_theta: Callable           # rng -> dict
@@ -395,7 +387,7 @@ def _bivariate_jacobian(theta: dict, support=None) -> JacobianReport:
         [0.0, 0.0, -rho * s2 * mu1 / s1 ** 2, rho / s1, s2 / s1],
         [0.0, 0.0, 0.0, 2.0 * (1.0 - rho ** 2) * s2, -2.0 * rho * s2 ** 2],
     ])
-    return _report(j, ("mu1", "mu2", "sigma1", "sigma2", "rho"), ())
+    return _report(j, ("mu1", "mu2", "sigma1", "sigma2", "rho"))
 
 
 def _binary_jacobian(theta: dict, support=None) -> JacobianReport:
@@ -415,7 +407,7 @@ def _binary_jacobian(theta: dict, support=None) -> JacobianReport:
         [fp(a + b) - fp(a), fp(a + b), 0.0],
         [-(zp(a + b) - zp(a)), -zp(a + b), 1.0],
     ])
-    return _report(j, ("a", "b", "eta_x"), (0.0, 1.0))
+    return _report(j, ("a", "b", "eta_x"))
 
 
 def _generic_case(spec: ExpFamilySpec, to_params: Callable, rename: dict):
@@ -434,7 +426,6 @@ def _registry() -> dict:
     cases = {}
 
     cases["bivariate_normal"] = CaseStudy(
-        name="bivariate_normal",
         param_names=("mu1", "mu2", "sigma1", "sigma2", "rho"),
         build=_bivariate_jacobian,
         random_theta=lambda rng: {
@@ -449,7 +440,6 @@ def _registry() -> dict:
 
     spec_c2 = ExpFamilySpec(Family.NORMAL, Family.NORMAL, Link.INVERSE)
     cases["normal_inverse"] = CaseStudy(
-        name="normal_inverse",
         param_names=("alpha", "beta", "phi", "mu", "phi_x"),
         build=_generic_case(
             spec_c2,
@@ -469,7 +459,6 @@ def _registry() -> dict:
     )
 
     cases["binary"] = CaseStudy(
-        name="binary",
         param_names=("a", "b", "eta_x"),
         build=_binary_jacobian,
         random_theta=lambda rng: (lambda a: {
@@ -482,7 +471,6 @@ def _registry() -> dict:
 
     spec_c4 = ExpFamilySpec(Family.BERNOULLI, Family.NORMAL, Link.CANONICAL)
     cases["bernoulli_normal"] = CaseStudy(
-        name="bernoulli_normal",
         param_names=("a", "b", "phi", "eta"),
         build=_generic_case(
             spec_c4,
@@ -501,7 +489,6 @@ def _registry() -> dict:
 
     spec_c5 = ExpFamilySpec(Family.POISSON, Family.NORMAL, Link.CANONICAL)
     cases["poisson_normal"] = CaseStudy(
-        name="poisson_normal",
         param_names=("a", "b", "phi", "eta_x"),
         build=_generic_case(
             spec_c5,
@@ -520,7 +507,6 @@ def _registry() -> dict:
 
     spec_c6 = ExpFamilySpec(Family.EXPONENTIAL, Family.NORMAL, Link.CANONICAL)
     cases["exponential_normal"] = CaseStudy(
-        name="exponential_normal",
         param_names=("a", "b", "phi", "lambda_x"),
         build=_generic_case(
             spec_c6,
@@ -539,7 +525,6 @@ def _registry() -> dict:
 
     spec_c7 = ExpFamilySpec(Family.EXPONENTIAL, Family.EXPONENTIAL, Link.CANONICAL)
     cases["exponential_exponential"] = CaseStudy(
-        name="exponential_exponential",
         param_names=("a", "b", "lambda_x"),
         build=_generic_case(
             spec_c7,
@@ -559,7 +544,6 @@ def _registry() -> dict:
     spec_mvn = ExpFamilySpec(Family.MULTIVARIATE_NORMAL, Family.NORMAL,
                              Link.CANONICAL, known_nuisance={"sigma_x": "known"})
     cases["multivariate_normal"] = CaseStudy(
-        name="multivariate_normal",
         param_names=("alpha", "beta_1", "beta_2", "phi", "mu_1", "mu_2"),
         build=_generic_case(
             spec_mvn,
@@ -582,7 +566,6 @@ def _registry() -> dict:
     spec_mn = ExpFamilySpec(Family.MULTINOMIAL, Family.NORMAL, Link.CANONICAL,
                             known_nuisance={"n_trials": "known"})
     cases["multinomial"] = CaseStudy(
-        name="multinomial",
         param_names=("alpha", "beta_1", "beta_2", "beta_3", "phi", "eta_1", "eta_2"),
         build=_generic_case(
             spec_mn,

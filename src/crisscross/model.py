@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericalError
 from .families import Family, Link, expit
 
 
@@ -167,10 +167,6 @@ class PairKernel:
 
     theta: float
 
-    def q(self, x_i, y_i, x_k, y_k):
-        return np.exp(-self.theta * (np.asarray(x_i) - np.asarray(x_k))
-                      * (np.asarray(y_i) - np.asarray(y_k)))
-
 
 def eval_q(kernel: PairKernel, pair_i: tuple, pair_k: tuple) -> float:
     """Inverse odds ratio exp(-theta * (x_i - x_k) * (y_i - y_k))."""
@@ -200,9 +196,16 @@ def derive_conditional(mu1: float, mu2: float, sigma1: float, sigma2: float,
 
 def or_from_theta(theta_hat: float, theta_var: float, contrast: float = 1.0
                   ) -> tuple[float, float]:
-    """Odds ratio and delta-method SE at a fixed pair contrast."""
+    """Odds ratio and delta-method SE at a fixed pair contrast; both must
+    be finite."""
     if theta_var < 0:
         raise DomainError("theta_var must be nonnegative")
-    point = math.exp(theta_hat * contrast)
+    try:
+        point = math.exp(theta_hat * contrast)
+    except OverflowError:
+        point = math.inf
     se = point * abs(contrast) * math.sqrt(theta_var)
+    if not (math.isfinite(point) and math.isfinite(se)):
+        raise NumericalError(f"odds ratio at log-odds {theta_hat * contrast!r} "
+                             "or its SE is not finite")
     return point, se

@@ -43,6 +43,7 @@ from .model import ObservedDataset
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 _BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
+_CACHED_CONTRASTS = 3e7  # groupwise fits regenerate contrasts above this count
 _LOG2 = math.log(2.0)
 
 
@@ -255,10 +256,7 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
     xc, yc = _group_cases(data, group_size)
     if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
         return _pass(xc, yc, theta).loglik
-    total = 0.0
-    for deltas in _group_deltas(xc, yc, group_size):
-        total -= float(np.sum(logsumexp(theta * deltas, axis=1)))
-    return total
+    return _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size), theta)[0]
 
 
 def _groupwise_score_hess(delta_blocks, theta):
@@ -287,7 +285,7 @@ def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
 
     n = len(xc)
     total = math.comb(n, group_size) * math.factorial(group_size)
-    if total <= 3e7:
+    if total <= _CACHED_CONTRASTS:
         cached = list(_group_deltas(xc, yc, group_size))
         delta_blocks = lambda: cached
     else:

@@ -54,7 +54,7 @@ class Binary2x2Model:
 
     def __post_init__(self):
         cells = self.cells
-        if np.any(cells < 0) or abs(cells.sum() - 1.0) > 1e-12:
+        if not (np.all(cells >= 0) and abs(cells.sum() - 1.0) <= 1e-12):
             raise DomainError("cell probabilities must be a simplex")
 
     @property

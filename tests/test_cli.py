@@ -206,3 +206,39 @@ def test_exit_code_4_on_nonpositive_b_hat(tmp_path, capsys):
         [0.302235, 0.419558, -0.494668, 1.094334, -0.823345]), path)
     assert _run_without_traceback(["estimate", str(path), "--method", "pseudolik"],
                                   capsys) == 4
+
+
+def test_exit_code_3_on_non_ascii_bytes(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y,r_x,r_y\n0.5,1.0,1,1\n\xff,2.0,1,1\n")
+    for command in ("estimate", "bootstrap"):
+        assert _run_without_traceback([command, str(path), "--method", "pseudolik"],
+                                      capsys) == 3
+    with pytest.raises(cc.DataError, match="latin1.csv"):
+        cc.load_dataset(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "DATA", "--method", "gee", "--sigma2", "0"],
+    ["estimate", "DATA", "--method", "gee", "--sigma2", "-1"],
+    ["estimate", "DATA", "--method", "gee", "--sigma2", "nan"],
+    ["estimate", "DATA", "--method", "gee", "--sigma2", "inf"],
+    ["estimate", "DATA", "--method", "gee", "--known", "alpha=abc"],
+    ["estimate", "DATA", "--method", "gee", "--known", "alpha=inf"],
+    ["estimate", "DATA", "--method", "gee", "--known", "alpha=nan"],
+    ["estimate", "DATA", "--method", "gee", "--known", "gamma=1"],
+    ["estimate", "DATA", "--method", "gee", "--known", "alpha"],
+    ["simulate", "--binary", "a,b,c,d"],
+    ["simulate", "--binary", "0.25,0.25,0.25,nan"],
+    ["simulate", "--seed", "-1"],
+    ["bootstrap", "DATA", "--method", "gee", "--seed", "-2"],
+    ["verify-counterexample", "--step", "0"],
+    ["verify-counterexample", "--step", "-0.01"],
+    ["verify-counterexample", "--step", "nan"],
+    ["verify-counterexample", "--quad-tol", "0"],
+    ["verify-counterexample", "--quad-tol=-1e-9"],
+    ["verify-counterexample", "--quad-tol", "nan"],
+])
+def test_exit_code_2_on_invalid_option_value(argv, dataset_csv, capsys):
+    argv = [str(dataset_csv) if a == "DATA" else a for a in argv]
+    assert _run_without_traceback(argv, capsys) == 2

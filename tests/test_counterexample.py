@@ -44,5 +44,9 @@ def test_selection_probabilities_are_valid():
 def test_grid_precondition_enforced():
     with pytest.raises(cc.DomainError):
         cc.verify_counterexample(step=0.2)
-    with pytest.raises(cc.DomainError):
-        cc.verify_counterexample(lo=-4.0)
+    for step in (0.0, -0.01, float("nan")):
+        with pytest.raises(cc.DomainError, match="grid step"):
+            cc.verify_counterexample(step=step)
+    for tol in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(cc.DomainError, match="quadrature tolerance"):
+            cc.verify_counterexample(quad_tol=tol)

@@ -34,3 +34,53 @@ def test_no_unused_module_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions(source: str) -> dict:
+    """Module-level ``_name`` functions, classes and assignments -> line."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node.lineno
+    return {name: line for name, line in found.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set:
+    """Names a module loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_private_checker_flags_only_unread_definitions():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = 3\n"
+              "def _f():\n    return _A\nclass _C:\n    pass\n_D = _C\n")
+    defined = private_definitions(source)
+    assert defined == {"_A": 1, "_B": 2, "_f": 5, "_C": 7, "_D": 9}
+    assert sorted(set(defined) - read_names(source)) == ["_B", "_D", "_f"]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(read_names(source) for source in sources.values()))
+    unread = {}
+    for name, source in sources.items():
+        names = [f"line {line}: {n}" for n, line in private_definitions(source).items()
+                 if n not in read]
+        if names:
+            unread[name] = names
+    assert unread == {}

@@ -92,6 +92,13 @@ def test_or_from_theta_rejects_negative_variance():
         cc.or_from_theta(0.1, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("theta, var", [(800.0, 0.0), (1.0, math.inf),
+                                        (math.nan, 0.0), (0.1, math.nan)])
+def test_or_from_theta_rejects_non_finite_results(theta, var):
+    with pytest.raises(cc.NumericalError, match="not finite"):
+        cc.or_from_theta(theta, var)
+
+
 # ------------------------------------------------------------------ #
 # exponential-family function tables
 # ------------------------------------------------------------------ #

@@ -428,3 +428,16 @@ def test_groupwise_memory_is_bounded_by_a_block():
     # the (58905, 24) contrasts are kept (11 MB); one chunk of all the
     # groups at once would add about 60 MB of temporaries
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("group_size, n", [(3, 30), (4, 16)])
+def test_groupwise_regenerated_contrasts_match_cached(group_size, n, monkeypatch):
+    rng = np.random.default_rng(47 + group_size)
+    y = rng.normal(2, 1, n)
+    data = complete_dataset(-1.4 + 0.9 * y + rng.normal(0, 2.8, n), y)
+    cached = cc.fit_groupwise(data, group_size)
+    monkeypatch.setattr(cc.pseudolik, "_CACHED_CONTRASTS", 0)
+    regenerated = cc.fit_groupwise(data, group_size)
+    assert cached.converged and cached.iterations > 1
+    assert regenerated.theta_hat == cached.theta_hat
+    assert regenerated.iterations == cached.iterations
