@@ -135,11 +135,14 @@ def _load_config(args) -> dict:
         return {}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad config JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config JSON must be an object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
@@ -331,13 +334,12 @@ def _cmd_experiment(args):
         raise ConfigError("experiment needs a --config JSON file")
     try:
         config = ExperimentConfig(
-            sweep=cfg["sweep"], values=tuple(cfg["values"]),
-            methods=tuple(cfg.get("methods", ("pseudolik", "gee_nonoptimal",
-                                              "gee_optimal"))),
-            replicates=int(cfg.get("replicates", 100)),
-            base_seed=int(cfg.get("base_seed", args.seed)),
-            n_total=int(cfg.get("n_total", 1000)),
-            known=dict(cfg.get("known", {})),
+            sweep=cfg["sweep"], values=cfg["values"],
+            methods=cfg.get("methods", ("pseudolik", "gee_nonoptimal", "gee_optimal")),
+            replicates=cfg.get("replicates", 100),
+            base_seed=cfg.get("base_seed", args.seed),
+            n_total=cfg.get("n_total", 1000),
+            known=cfg.get("known", {}),
             threads=args.threads,
         )
     except KeyError as exc:

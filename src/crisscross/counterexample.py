@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
 
@@ -85,6 +84,7 @@ class CounterexampleReport:
 
 
 def _quad(f, a, b, tol):
+    from scipy.integrate import quad    # deferred: no other command needs scipy
     val, err = quad(f, a, b, epsabs=tol, epsrel=1e-8, limit=200)
     if not math.isfinite(val) or err > max(1e3 * tol, 1e-6):
         raise NumericalError(f"quadrature did not converge (err={err!r})")

@@ -24,6 +24,7 @@ Odds ratios are reported at unit pair contrast throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -56,13 +57,36 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be positive")
-        unknown = set(self.methods) - set(METHODS)
+        try:
+            values, methods = tuple(self.values), tuple(self.methods)
+            known = dict(self.known)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"values, methods and known must be collections: {exc}"
+                              ) from exc
+        if not all(_is_real(v) and math.isfinite(v) for v in values):
+            raise ConfigError(f"values must be finite numbers, got {list(values)}")
+        if self.sweep != "rho" and not all(float(v).is_integer() for v in values):
+            raise ConfigError(f"sample sizes must be whole numbers, got {list(values)}")
+        for name, low in (("replicates", 1), ("base_seed", 0), ("n_total", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
+        unknown = [m for m in methods if m not in METHODS]
         if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}")
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "methods", tuple(self.methods))
+            raise ConfigError(f"unknown methods {unknown}")
+        for name, val in known.items():
+            if name not in ("alpha", "beta"):
+                raise ConfigError(f"cannot fix unknown coefficient {name!r}")
+            if val != "truth" and not (_is_real(val) and math.isfinite(val)):
+                raise ConfigError(f"known {name} must be \"truth\" or a finite number, "
+                                  f"got {val!r}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "known", known)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -96,8 +120,6 @@ def sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
                  "or": math.exp(theta)}
         known = {}
         for name, val in config.known.items():
-            if name not in ("alpha", "beta"):
-                raise ConfigError(f"cannot fix unknown coefficient {name!r}")
             known[name] = truth[name] if val == "truth" else float(val)
         points.append(SweepPoint(index=i, label=label, target=target,
                                  mechanism=mechanism, n_total=n_total,

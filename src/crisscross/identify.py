@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
 from .families import Family, Link, check_predictor_domain, link_table
@@ -112,6 +111,8 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
 
     if fam in (Family.BERNOULLI, Family.POISSON):
         names = ("eta_x",)
+        if fam is Family.POISSON:   # scipy only for the log x! base measures
+            from scipy.special import gammaln
 
         def term(xi, x0, xp):
             extra = 0.0
@@ -155,6 +156,7 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
         d = len(params.eta_x)
         if d < 2:
             raise DomainError("multinomial X needs at least 2 categories")
+        from scipy.special import gammaln
         # reduced coordinates: eta_d moves to keep the sum fixed, so the
         # gradient block is (x_i - x_0)^T M with M = [I; -1 ... -1]
         M = np.vstack([np.eye(d - 1), -np.ones((1, d - 1))])
@@ -291,6 +293,8 @@ def sufficient_knowledge_search(report: JacobianReport, max_set_size: int
     parameter name; a set is skipped when it contains an already-found
     sufficient set (supersets of sufficient sets are never minimal).
     """
+    if max_set_size < 0:
+        raise ConfigError(f"max_set_size must be nonnegative, got {max_set_size}")
     j = report.j_matrix
     names = list(report.param_names)
     index = {n: i for i, n in enumerate(names)}

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError, DomainError, NumericalError, SeparationError
 from .model import ObservedDataset
@@ -260,17 +259,27 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
 
 
 def _groupwise_score_hess(delta_blocks, theta):
+    """(objective, score, Hessian, groups) at theta.  Per group, with
+    z = theta (S_P - S_id) and its row maximum top >= 0 (the identity
+    contrast is 0), log sum exp z = top + log sum exp(z - top), and the sum
+    is at least 1, so one exp per contrast cannot overflow.  The Hessian is
+    the weighted variance of the contrasts about their mean, which keeps its
+    digits when one permutation carries nearly all the weight."""
     obj = score = hess = 0.0
     n_groups = 0
     for deltas in delta_blocks():
-        z = theta * deltas
-        lse = logsumexp(z, axis=1)
-        w = np.exp(z - lse[:, None])
-        mean_d = np.sum(w * deltas, axis=1)
-        mean_d2 = np.sum(w * deltas ** 2, axis=1)
-        obj -= float(np.sum(lse))
+        w = theta * deltas
+        top = w.max(axis=1)
+        w -= top[:, None]
+        np.exp(w, out=w)
+        total = w.sum(axis=1)
+        w /= total[:, None]
+        mean_d = np.einsum("ij,ij->i", w, deltas)
+        dev = deltas - mean_d[:, None]
+        dev *= dev
+        obj -= float(np.sum(top + np.log(total)))
         score -= float(np.sum(mean_d))
-        hess -= float(np.sum(mean_d2 - mean_d ** 2))
+        hess -= float(np.einsum("ij,ij->", w, dev))
         n_groups += len(deltas)
     return obj, score, hess, n_groups
 

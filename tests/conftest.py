@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import crisscross as cc
 
@@ -36,3 +37,19 @@ def pair_loglik(u, v, theta):
     """Pairwise objective over a materialized logistic pair design (oracle)."""
     lin = theta * v
     return float(np.sum(u * lin - np.logaddexp(0.0, lin)))
+
+
+def groupwise_oracle(delta_blocks, theta):
+    """Groupwise objective, score and Hessian through scipy's logsumexp
+    (oracle).  The Hessian is the weighted variance about the mean: the
+    uncentred E[d^2] - E[d]^2 loses up to 7 digits at theta = +-200."""
+    obj = score = hess = 0.0
+    for deltas in delta_blocks():
+        z = theta * deltas
+        lse = logsumexp(z, axis=1)
+        w = np.exp(z - lse[:, None])
+        mean_d = np.sum(w * deltas, axis=1)
+        obj -= float(np.sum(lse))
+        score -= float(np.sum(mean_d))
+        hess -= float(np.sum(w * (deltas - mean_d[:, None]) ** 2))
+    return obj, score, hess

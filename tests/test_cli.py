@@ -190,6 +190,30 @@ def test_identify_case_without_support_is_config_error(capsys):
                                   capsys) == 2
 
 
+_EXPERIMENT = ["experiment", "--config", "CONFIG"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ('{"sweep": "rho", "values": ["abc"]}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": [NaN]}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": 0.3}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": [0.3], "replicates": "x"}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": [0.3], "replicates": 2.5}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": [0.3], "base_seed": -3}', _EXPERIMENT),
+    ('{"sweep": "rho", "values": [0.3], "known": {"alpha": "abc"}}', _EXPERIMENT),
+    ('[{"sweep": "rho", "values": [0.3]}]', _EXPERIMENT),
+    (None, ["identify", "--case", "bivariate_normal", "--max-set-size", "-1"]),
+], ids=["values-str", "values-nan", "values-scalar", "replicates-str",
+        "replicates-float", "base_seed-negative", "known-str", "top-level-array",
+        "identify-max-set-size"])
+def test_exit_code_2_on_unchecked_config_value(config, argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    argv = [str(path) if a == "CONFIG" else a for a in argv]
+    assert _run_without_traceback(argv, capsys) == 2
+
+
 def test_exit_code_3_on_non_finite_value(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("x,y,r_x,r_y\n0.5,1.0,1,1\ninf,2.0,1,1\n1.5,0.5,1,1\n")

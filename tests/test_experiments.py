@@ -102,6 +102,13 @@ def test_config_validation():
         cc.ExperimentConfig(sweep="rho", values=(0.1,), methods=("bogus",))
     with pytest.raises(cc.ConfigError):
         cc.ExperimentConfig(sweep="rho", values=(0.1,), replicates=0)
+    with pytest.raises(cc.ConfigError, match="whole numbers"):
+        cc.ExperimentConfig(sweep="sample_size", values=(500, 1000.5))
+    for bad in ({"values": ("abc",)}, {"values": (float("inf"),)},
+                {"replicates": "x"}, {"replicates": True}, {"base_seed": -3},
+                {"n_total": 0}, {"known": {"alpha": "abc"}}, {"known": {"gamma": 1}}):
+        with pytest.raises(cc.ConfigError):
+            cc.ExperimentConfig(**{"sweep": "rho", "values": (0.1,), **bad})
 
 
 def test_tidy_csv_layout(tmp_path):

@@ -1,6 +1,10 @@
-"""Static checks on the package source (stdlib ``ast``, no linter needed)."""
+"""Static checks on the package source (stdlib ``ast``, no linter needed),
+and a check of what the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crisscross"
@@ -84,3 +88,64 @@ def test_every_private_definition_is_read():
         if names:
             unread[name] = names
     assert unread == {}
+
+
+def import_time_modules(source: str) -> list[str]:
+    """Modules imported when the module runs: its top level and class
+    bodies, not function bodies."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_import_time_checker_skips_function_bodies():
+    source = ("import numpy as np\nfrom . import model\n"
+              "if True:\n    import scipy.special\n"
+              "class C:\n    from scipy import integrate\n"
+              "def f():\n    from scipy.integrate import quad\n")
+    assert import_time_modules(source) == ["numpy", "scipy", "scipy.special"]
+
+
+def test_no_module_level_scipy_import():
+    """scipy costs most of a CLI process's start-up; only quadrature and the
+    Poisson and multinomial identify cases import it, inside the function."""
+    found = {path.name: [m for m in import_time_modules(path.read_text(encoding="utf-8"))
+                         if m.split(".")[0] == "scipy"]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+_CLI_RUNS = """
+import sys
+import crisscross as cc
+import crisscross.cli as cli
+path = sys.argv[1]
+sim = cc.simulate_dataset(cc.ScenarioConfig(cc.SECTION61_TARGET,
+                                            cc.SECTION61_MECHANISM, 120, 7))
+cc.save_dataset(sim.observed, path)
+for argv in (["estimate", path, "--method", "pseudolik"],
+             ["estimate", path, "--method", "pseudolik", "--group-size", "3"],
+             ["estimate", path, "--method", "gee"],
+             ["bootstrap", path, "--method", "pseudolik", "--resamples", "5"],
+             ["identify", "--case", "bivariate_normal"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_cli_commands_do_not_load_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path / "data.csv")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[]"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import crisscross as cc
 
-from conftest import complete_dataset, make_dataset, pair_loglik
+from conftest import complete_dataset, groupwise_oracle, make_dataset, pair_loglik
 
 
 # ------------------------------------------------------------------ #
@@ -216,6 +216,21 @@ def test_groupwise_score_matches_finite_difference():
         fd = (cc.groupwise_loglik(data, theta + h, 3)
               - cc.groupwise_loglik(data, theta - h, 3)) / (2 * h)
         assert score == pytest.approx(fd, rel=1e-6, abs=1e-5)
+
+
+@pytest.mark.parametrize("group_size, n", [(3, 20), (4, 11)])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.3, 5.0, -5.0, 200.0, -200.0])
+def test_groupwise_kernel_matches_logsumexp_oracle(group_size, n, theta):
+    from crisscross.pseudolik import _group_deltas, _groupwise_score_hess
+    rng = np.random.default_rng(53 + group_size)
+    y = rng.normal(2, 1, n)
+    xc, yc = -1.4 + 0.9 * y + rng.normal(0, 2.8, n), y
+    blocks = lambda: _group_deltas(xc, yc, group_size)
+    with np.errstate(over="raise", invalid="raise"):
+        got = _groupwise_score_hess(blocks, theta)
+    assert got[3] == math.comb(n, group_size)
+    assert all(math.isfinite(v) for v in got[:3])
+    assert got[:3] == pytest.approx(groupwise_oracle(blocks, theta), rel=1e-12)
 
 
 def test_groupwise_three_no_less_efficient_than_pairwise():
