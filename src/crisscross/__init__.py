@@ -25,9 +25,9 @@ from .pseudolik import (PairDesign, PseudoLikResult, build_pairs, fit_groupwise,
                         fit_pairwise, fit_pairwise_with_variance,
                         groupwise_loglik, variance_ustat)
 from .gee import (Binary2x2, Binary2x2Result, GeeResult, NonOptimalF,
-                  NormalLinear, OptimalF, PolynomialF, PropensityModel,
-                  estimate_binary_2x2, fit_propensity, gee_residual, optimal_f,
-                  sandwich_gee, solve_gee)
+                  NormalLinear, OptimalF, PropensityModel, estimate_binary_2x2,
+                  fit_propensity, gee_residual, optimal_f, sandwich_gee,
+                  solve_gee)
 from .aipw import (AipwResult, PermutationNuisance, aipw_permutation,
                    fit_permutation_nuisances)
 from .experiments import (BootstrapResult, ExperimentConfig, ReplicationSummary,

@@ -10,6 +10,7 @@ CrissCrossError.  An error prints one line to stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -107,7 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check the two observed-equivalent full laws")
     _common(p)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
+    p.add_argument("--quad-tol", type=float, default=1e-9,
+                   help="the Gauss-Legendre integrals may differ from their "
+                        "half-width-panel refinement by at most "
+                        "max(1e3 * QUAD_TOL, 1e-6)")
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("bootstrap", help="bootstrap SEs for one method")
@@ -145,6 +149,18 @@ def _load_config(args) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _config_entries(command: str):
+    """A missing key or an entry of the wrong type or form in ``command``'s
+    JSON config is a ConfigError, not a traceback."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{command} config missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {command} config entry: {exc}") from None
+
+
 def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
     if "mechanism" in cfg:
         m = cfg["mechanism"]
@@ -155,7 +171,11 @@ def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
-    mech = _mechanism(cfg, getattr(args, "misspecified", False))
+    with _config_entries("simulate"):
+        mech = _mechanism(cfg, getattr(args, "misspecified", False))
+        if not args.binary:
+            target = BivariateNormalTarget(**cfg.get("target", {"rho": args.rho}))
+            target.conditional()        # its domain checks, before any draw
     if args.binary:
         try:
             cells = [float(v) for v in args.binary.split(",")]
@@ -164,10 +184,6 @@ def _cmd_simulate(args):
         if len(cells) != 4:
             raise ConfigError("--binary needs four comma-separated numbers")
         target = Binary2x2Model(*cells)
-    elif "target" in cfg:
-        target = BivariateNormalTarget(**cfg["target"])
-    else:
-        target = BivariateNormalTarget(rho=args.rho)
     sim = simulate_dataset(ScenarioConfig(target, mech, args.n, args.seed))
     summary = missingness_summary(sim.observed)
     if args.out:
@@ -199,22 +215,23 @@ def _cmd_identify(args):
                          indent=2))
         return
     cfg = _load_config(args)
-    if args.case is not None or "case" in cfg:
-        case = case_study(args.case or cfg["case"])
-        theta = cfg.get("theta")
-        if theta is None:
-            theta = case.random_theta(np.random.default_rng(args.seed))
-        support = cfg.get("support_points", case.default_support)
-        report = case.build(theta, support)
-        spec = case.spec
-    elif cfg:
-        spec, params = _params_from_config(cfg)
-        support = cfg.get("support_points")
-        if support is None:
-            raise ConfigError("generic identify configs need support_points")
-        report = build_jacobian(spec, params, support)
-    else:
+    if args.case is None and not cfg:
         raise ConfigError("identify needs --case or a --config file")
+    with _config_entries("identify"):
+        if args.case is not None or "case" in cfg:
+            case = case_study(args.case or cfg["case"])
+            theta = cfg.get("theta")
+            if theta is None:
+                theta = case.random_theta(np.random.default_rng(args.seed))
+            support = cfg.get("support_points", case.default_support)
+            report = case.build(theta, support)
+            spec = case.spec
+        else:
+            spec, params = _params_from_config(cfg)
+            support = cfg.get("support_points")
+            if support is None:
+                raise ConfigError("generic identify configs need support_points")
+            report = build_jacobian(spec, params, support)
     verdict = full_law_verdict(spec)
     report = sufficient_knowledge_search(report, args.max_set_size)
     payload = {
@@ -332,7 +349,7 @@ def _cmd_experiment(args):
     cfg = _load_config(args)
     if not cfg:
         raise ConfigError("experiment needs a --config JSON file")
-    try:
+    with _config_entries("experiment"):
         config = ExperimentConfig(
             sweep=cfg["sweep"], values=cfg["values"],
             methods=cfg.get("methods", ("pseudolik", "gee_nonoptimal", "gee_optimal")),
@@ -342,8 +359,6 @@ def _cmd_experiment(args):
             known=cfg.get("known", {}),
             threads=args.threads,
         )
-    except KeyError as exc:
-        raise ConfigError(f"experiment config missing key {exc}") from exc
     summary = run_experiment(config)
     if args.out:
         write_summary(summary, args.out)

@@ -16,10 +16,15 @@ normal densities,
   p_2(R_y = 1 | x, R_x = 0) = exp(-8/9) * (2*sqrt(3)/5) * N(x; 7/3, 1).
 
 Here N(.; mu, v) is the normal density, which is a valid probability
-(its sup is below one for these variances).  The verification computes,
-by quadrature, the observed-law objects of all four missingness
-patterns and confirms they agree across models while the marginal
-Y-variances (1 vs 6/5) do not.
+(its sup is below one for these variances).  The verification computes
+the observed-law objects of all four missingness patterns and confirms
+they agree across models while the marginal Y-variances (1 vs 6/5) do
+not.  Pattern (1,1) is closed form.  The integrals of the other three
+and of the Y-moments use one composite Gauss-Legendre rule, 20 nodes on
+each unit panel of [GRID_LO - 12, GRID_HI + 12], built once per call.
+``quad_tol`` bounds the rule's error: every integrated object is
+evaluated again on half-width panels, and a difference larger than
+max(1e3 * quad_tol, 1e-6) raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 GRID_LO, GRID_HI = -8.0, 10.0
+# every density factor is a Gaussian centred inside the grid, so the
+# integrals can stop a dozen units past it (each neglected tail < 1e-30)
+_INT_LO, _INT_HI = GRID_LO - 12.0, GRID_HI + 12.0
+_NODES_PER_PANEL = 20
 _SQ56 = math.sqrt(5.0 / 6.0)
 _MODEL2_RY0_CONST = math.exp(-8.0 / 9.0) * 2.0 * math.sqrt(3.0) / 5.0
 
@@ -83,12 +92,31 @@ class CounterexampleReport:
         return max(self.max_abs_discrepancy.values()) < 1e-6
 
 
-def _quad(f, a, b, tol):
-    from scipy.integrate import quad    # deferred: no other command needs scipy
-    val, err = quad(f, a, b, epsabs=tol, epsrel=1e-8, limit=200)
-    if not math.isfinite(val) or err > max(1e3 * tol, 1e-6):
-        raise NumericalError(f"quadrature did not converge (err={err!r})")
-    return val
+def _rule(width):
+    """Composite Gauss-Legendre nodes and weights on the integration range,
+    ``_NODES_PER_PANEL`` nodes on each panel of ``width``."""
+    t, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+    left = _INT_LO + width * np.arange(round((_INT_HI - _INT_LO) / width))
+    nodes = (left[:, None] + 0.5 * width * (t + 1.0)).ravel()
+    return nodes, np.tile(0.5 * width * w, len(left))
+
+
+def _integrals(model, grid, nodes, weights):
+    """Every integrated object of ``model`` under one rule: the (1,0) and
+    (0,1) densities on ``grid``, the (0,0) mass and Var(Y)."""
+    wy = weights * model.p_y(nodes)
+    # pattern (1,0): x on the grid, y integrated out
+    d10 = (model.p_x_given_y(grid[:, None], nodes[None, :])
+           @ (wy * model.p_rx1(nodes))) * (1.0 - model.p_ry1(grid, 1))
+    # pattern (0,1): y on the grid, x integrated out
+    d01 = model.p_y(grid) * (1.0 - model.p_rx1(grid)) \
+        * (model.p_x_given_y(nodes[None, :], grid[:, None])
+           @ (weights * model.p_ry1(nodes, 0)))
+    # pattern (0,0): y outer (rows), x inner (columns)
+    inner = model.p_x_given_y(nodes[None, :], nodes[:, None]) \
+        @ (weights * (1.0 - model.p_ry1(nodes, 0)))
+    m00 = (wy * (1.0 - model.p_rx1(nodes))) @ inner
+    return np.concatenate([d10, d01, [m00, wy @ nodes ** 2 - (wy @ nodes) ** 2]])
 
 
 def verify_counterexample(step: float = 0.05, quad_tol: float = 1e-9
@@ -100,9 +128,6 @@ def verify_counterexample(step: float = 0.05, quad_tol: float = 1e-9
     if not 0 < quad_tol < math.inf:
         raise DomainError(f"quadrature tolerance must be finite and > 0: {quad_tol!r}")
     grid = np.arange(GRID_LO, GRID_HI + step / 2, step)
-    # every density factor is a Gaussian centered inside the grid, so
-    # integration can stop a dozen units past it (tail mass << quad_tol)
-    int_lo, int_hi = GRID_LO - 12.0, GRID_HI + 12.0
 
     # pattern (1,1): joint density over the 2-d grid, closed form
     xg, yg = np.meshgrid(grid, grid)
@@ -110,39 +135,20 @@ def verify_counterexample(step: float = 0.05, quad_tol: float = 1e-9
     f2 = MODEL2.p_y(yg) * MODEL2.p_x_given_y(xg, yg) * MODEL2.p_rx1(yg) * MODEL2.p_ry1(xg, 1)
     d11 = float(np.max(np.abs(f1 - f2)))
 
-    # pattern (1,0): x observed, y integrated out
-    def dens_10(model, x):
-        return _quad(lambda y: model.p_y(y) * model.p_x_given_y(x, y)
-                     * model.p_rx1(y) * (1.0 - model.p_ry1(x, 1)),
-                     int_lo, int_hi, quad_tol)
-
-    d10 = max(abs(dens_10(MODEL1, x) - dens_10(MODEL2, x)) for x in grid)
-
-    # pattern (0,1): y observed, x integrated out
-    def dens_01(model, y):
-        inner = _quad(lambda x: model.p_x_given_y(x, y) * model.p_ry1(x, 0),
-                      int_lo, int_hi, quad_tol)
-        return model.p_y(y) * (1.0 - model.p_rx1(y)) * inner
-
-    d01 = max(abs(dens_01(MODEL1, y) - dens_01(MODEL2, y)) for y in grid)
-
-    # pattern (0,0): total mass, with the inner x-integral nested in y
-    def mass_00(model):
-        def inner(y):
-            return _quad(lambda x: model.p_x_given_y(x, y)
-                         * (1.0 - model.p_ry1(x, 0)), int_lo, int_hi, quad_tol)
-        return _quad(lambda y: model.p_y(y) * (1.0 - model.p_rx1(y)) * inner(y),
-                     int_lo, int_hi, math.sqrt(quad_tol))
-
-    d00 = abs(mass_00(MODEL1) - mass_00(MODEL2))
-
-    def y_variance(model):
-        mean = _quad(lambda y: y * model.p_y(y), int_lo, int_hi, quad_tol)
-        second = _quad(lambda y: y * y * model.p_y(y), int_lo, int_hi, quad_tol)
-        return second - mean ** 2
-
+    rule, half = _rule(1.0), _rule(0.5)
+    values = []
+    for model in (MODEL1, MODEL2):
+        val = _integrals(model, grid, *rule)
+        err = float(np.max(np.abs(val - _integrals(model, grid, *half))))
+        if not np.all(np.isfinite(val)) or not err <= max(1e3 * quad_tol, 1e-6):
+            raise NumericalError(f"quadrature did not converge (err={err!r})")
+        values.append(val)
+    n = len(grid)
+    v1, v2 = values
+    diff = np.abs(v1 - v2)
     return CounterexampleReport(
-        max_abs_discrepancy={"11": d11, "10": d10, "01": d01, "00": d00},
-        target_law_variances=(y_variance(MODEL1), y_variance(MODEL2)),
+        max_abs_discrepancy={"11": d11, "10": float(np.max(diff[:n])),
+                             "01": float(np.max(diff[n:2 * n])), "00": float(diff[-2])},
+        target_law_variances=(float(v1[-1]), float(v2[-1])),
         grid=(GRID_LO, GRID_HI, step),
     )

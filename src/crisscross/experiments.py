@@ -372,7 +372,8 @@ def bootstrap(data: ObservedDataset, fit_fn, n_resamples: int, seed: int
             continue
         for k, v in est.items():
             collected.setdefault(k, []).append(float(v))
-    if not collected:
-        raise DataError("all bootstrap resamples failed")
+    if not collected or min(map(len, collected.values())) < 2:
+        raise DataError(f"{n_failed} of {n_resamples} bootstrap resamples failed; "
+                        "an SE needs at least 2 estimates per parameter")
     se = {k: float(np.std(np.array(v), ddof=1)) for k, v in collected.items()}
     return BootstrapResult(se=se, n_failed=n_failed, n_resamples=n_resamples)

@@ -246,15 +246,6 @@ class NonOptimalF:
 
 
 @dataclass(frozen=True)
-class PolynomialF:
-    degrees: tuple
-
-    def values(self, y, model):
-        y = np.asarray(y, dtype=float)
-        return np.column_stack([y ** d for d in self.degrees])
-
-
-@dataclass(frozen=True)
 class OptimalF:
     """f_opt(y) = a(y) / E[(X - h(y))^2 / pi(X) | Y = y] at pilot theta."""
 
@@ -313,6 +304,8 @@ def _weighted_cases(data: ObservedDataset, model, pi_model: PropensityModel, f):
     F = np.atleast_2d(f.values(yc, model))
     if F.shape[0] != len(yc):
         F = F.T
+    if F.shape[1] != model.dim:
+        raise DomainError("f must have dim(theta) components")
     return xc, yc, pi, F
 
 
@@ -331,35 +324,23 @@ def gee_residual(data: ObservedDataset, model, pi_model: PropensityModel,
 
 def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
               ) -> GeeResult:
-    """Newton root of the estimating equation (least squares when f is
-    longer than theta); linear mean models converge in one step."""
+    """Newton root of the estimating equation; linear mean models converge
+    in one step."""
     theta = model.theta0()
     cases = _weighted_cases(data, model, pi_model, f)
     _, yc, pi, F = cases
     g = _residual(cases, model, theta, data.n_total)
-    if len(g) < model.dim:
-        raise DomainError("f must have at least dim(theta) components")
-    square = len(g) == model.dim
     f_over_pi = F * (1.0 / pi)[:, None]
-
-    def stationary(g_val, jac):
-        # exact root for square systems, least-squares stationarity otherwise
-        if square:
-            return np.linalg.norm(g_val) <= ROOT_TOL
-        return np.linalg.norm(jac.T @ g_val) <= ROOT_TOL
 
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
-        if stationary(g, J):
+        if np.linalg.norm(g) <= ROOT_TOL:
             converged = True
             break
+        J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
         try:
-            if square:
-                step = np.linalg.solve(J, -g)
-            else:
-                step, *_ = np.linalg.lstsq(J, -g, rcond=None)
+            step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular estimating-equation Jacobian: {exc}") from exc
         norm0 = np.linalg.norm(g)
@@ -373,7 +354,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
         theta = theta + scale * step
         g = g_new
     c_hat, d_hat, cov = (None, None, None)
-    if converged and square:
+    if converged:
         try:
             c_hat, d_hat, cov = _sandwich(cases, model, theta, data.n_total)
         except NumericalError:
@@ -394,8 +375,6 @@ def sandwich_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
 
 def _sandwich(cases, model, theta_hat, N):
     xc, yc, pi, F = cases
-    if F.shape[1] != model.dim:
-        raise NumericalError("sandwich needs a square system (dim f = dim theta)")
     resid = xc - model.h(yc, theta_hat)
     A = model.a(yc, theta_hat)
     c_hat = (A * (1.0 / pi)[:, None]).T @ F / N
@@ -406,6 +385,9 @@ def _sandwich(cases, model, theta_hat, N):
         raise NumericalError(f"singular C matrix: {exc}") from exc
     cov = c_inv @ d_hat @ c_inv.T
     cov = 0.5 * (cov + cov.T)
+    var = np.diag(cov)
+    if not np.all(np.isfinite(var) & (var > 0)):
+        raise NumericalError(f"sandwich variances must be positive and finite: {var!r}")
     return c_hat, d_hat, cov
 
 

@@ -26,6 +26,7 @@ computed here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -111,13 +112,11 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
 
     if fam in (Family.BERNOULLI, Family.POISSON):
         names = ("eta_x",)
-        if fam is Family.POISSON:   # scipy only for the log x! base measures
-            from scipy.special import gammaln
 
         def term(xi, x0, xp):
             extra = 0.0
             if fam is Family.POISSON:
-                extra = -(gammaln(xi + 1.0) - gammaln(x0 + 1.0))
+                extra = -(_log_factorials(xi) - _log_factorials(x0))
             return xp[0] * (xi - x0) + extra
 
         def grad(xi, x0, xp):
@@ -156,7 +155,6 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
         d = len(params.eta_x)
         if d < 2:
             raise DomainError("multinomial X needs at least 2 categories")
-        from scipy.special import gammaln
         # reduced coordinates: eta_d moves to keep the sum fixed, so the
         # gradient block is (x_i - x_0)^T M with M = [I; -1 ... -1]
         M = np.vstack([np.eye(d - 1), -np.ones((1, d - 1))])
@@ -166,7 +164,7 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
         def term(xi, x0, xp):
             eta_full = np.append(xp, eta_sum - np.sum(xp))
             return float((xi - x0) @ eta_full
-                         - (np.sum(gammaln(xi + 1.0)) - np.sum(gammaln(x0 + 1.0))))
+                         - (_log_factorials(xi) - _log_factorials(x0)))
 
         def grad(xi, x0, xp):
             return (xi - x0) @ M
@@ -174,6 +172,11 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
         return names, np.asarray(params.eta_x[:-1], dtype=float), term, grad
 
     raise DomainError(f"unsupported X family {fam.value}")
+
+
+def _log_factorials(counts) -> float:
+    """sum_j log(counts_j!), the Poisson and multinomial base measure."""
+    return sum(math.lgamma(c + 1.0) for c in counts)
 
 
 @dataclass(frozen=True)

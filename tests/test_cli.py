@@ -203,15 +203,29 @@ _EXPERIMENT = ["experiment", "--config", "CONFIG"]
     ('{"sweep": "rho", "values": [0.3], "known": {"alpha": "abc"}}', _EXPERIMENT),
     ('[{"sweep": "rho", "values": [0.3]}]', _EXPERIMENT),
     (None, ["identify", "--case", "bivariate_normal", "--max-set-size", "-1"]),
+    ('{"target": {"bogus": 1}}', ["simulate", "--config", "CONFIG"]),
+    ('{"mechanism": {"rx_given_y": 5}}', ["simulate", "--config", "CONFIG"]),
+    ('{"family_x": "normal", "theta": {}}', ["identify", "--config", "CONFIG"]),
+    ('{"case": "normal_inverse", "theta": {}}', ["identify", "--config", "CONFIG"]),
 ], ids=["values-str", "values-nan", "values-scalar", "replicates-str",
         "replicates-float", "base_seed-negative", "known-str", "top-level-array",
-        "identify-max-set-size"])
+        "identify-max-set-size", "simulate-target-field", "simulate-mechanism-int",
+        "identify-missing-family", "identify-case-theta"])
 def test_exit_code_2_on_unchecked_config_value(config, argv, tmp_path, capsys):
     path = tmp_path / "config.json"
     if config is not None:
         path.write_text(config)
     argv = [str(path) if a == "CONFIG" else a for a in argv]
     assert _run_without_traceback(argv, capsys) == 2
+
+
+def test_exit_code_3_when_a_bootstrap_se_has_one_estimate(tmp_path, capsys):
+    # one of the two resamples fails, and the SD of one estimate is NaN
+    path = tmp_path / "four.csv"
+    path.write_text("x,y,r_x,r_y\n0.1,0.5,1,1\n0.7,-0.2,1,1\n1.3,2.0,1,1\n-0.4,0.9,1,1\n")
+    argv = ["bootstrap", str(path), "--method", "pseudolik", "--resamples", "2",
+            "--seed", "0"]
+    assert _run_without_traceback(argv, capsys) == 3
 
 
 def test_exit_code_3_on_non_finite_value(tmp_path, capsys):

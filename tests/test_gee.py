@@ -157,17 +157,18 @@ def test_root_invariant_under_invertible_rescaling_of_f():
     assert np.max(np.abs(res.theta_hat - base.theta_hat)) < 1e-8
 
 
-def test_overdetermined_f_allowed_square_required_for_sandwich():
-    rng = np.random.default_rng(10)
-    y = rng.normal(2, 1, 500)
-    x = -1.4 + 0.9 * y + rng.normal(0, 2.8, 500)
-    data = complete_dataset(x, y)
-    f3 = cc.PolynomialF((0, 1, 2))
-    res = cc.solve_gee(data, cc.NormalLinear(), PI_ONE, f3)
-    assert res.converged
-    assert res.sandwich_cov is None      # not a square system
-    with pytest.raises(cc.NumericalError):
-        cc.sandwich_gee(data, cc.NormalLinear(), PI_ONE, f3, res.theta_hat)
+def test_f_of_other_width_than_theta_rejected():
+    class QuadraticF:
+        def values(self, y, model):
+            return np.column_stack([np.ones_like(y), y, y ** 2])
+
+    y = np.random.default_rng(10).normal(2, 1, 500)
+    args = (complete_dataset(-1.4 + 0.9 * y, y), cc.NormalLinear(), PI_ONE, QuadraticF())
+    for run in (lambda: cc.solve_gee(*args),
+                lambda: cc.gee_residual(*args, np.zeros(2)),
+                lambda: cc.sandwich_gee(*args, np.zeros(2))):
+        with pytest.raises(cc.DomainError, match=r"dim\(theta\)"):
+            run()
 
 
 # ------------------------------------------------------------------ #
@@ -231,6 +232,18 @@ def test_sandwich_equals_classical_heteroskedastic_ols():
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (X.T @ (X * (e ** 2)[:, None])) @ bread
     assert np.allclose(res.sandwich_cov / len(y), hc0, rtol=1e-8)
+
+
+def test_sandwich_rejects_a_zero_variance():
+    # x = 0 is fitted exactly at the starting point, so every residual is 0
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    data = complete_dataset(np.zeros(4), y)
+    with pytest.raises(cc.NumericalError, match="positive and finite"):
+        cc.sandwich_gee(data, cc.NormalLinear(), PI_ONE, cc.NonOptimalF(), np.zeros(2))
+    res = cc.solve_gee(data, cc.NormalLinear(), PI_ONE, cc.NonOptimalF())
+    assert res.converged and res.sandwich_cov is None
+    with pytest.raises(cc.NumericalError):
+        res.se()
 
 
 def test_sandwich_matrices_are_psd(section61_small):

@@ -116,27 +116,52 @@ def test_import_time_checker_skips_function_bodies():
 
 
 def test_no_module_level_scipy_import():
-    """scipy costs most of a CLI process's start-up; only quadrature and the
-    Poisson and multinomial identify cases import it, inside the function."""
+    """scipy would cost most of a CLI process's start-up; no module imports
+    it when loaded (``test_no_scipy_import_in_package`` checks function
+    bodies too)."""
     found = {path.name: [m for m in import_time_modules(path.read_text(encoding="utf-8"))
                          if m.split(".")[0] == "scipy"]
              for path in sorted(SRC.glob("*.py"))}
     assert {name: mods for name, mods in found.items() if mods} == {}
 
 
+def test_no_scipy_import_in_package():
+    """numpy is the only runtime dependency: no module imports scipy, not
+    even inside a function."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found.setdefault(path.name, []).extend(
+                f"line {node.lineno}: {m}" for m in mods if m.split(".")[0] == "scipy")
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
 _CLI_RUNS = """
+import json
 import sys
 import crisscross as cc
 import crisscross.cli as cli
+from crisscross.identify import multinomial_support
 path = sys.argv[1]
 sim = cc.simulate_dataset(cc.ScenarioConfig(cc.SECTION61_TARGET,
                                             cc.SECTION61_MECHANISM, 120, 7))
 cc.save_dataset(sim.observed, path)
+with open(path + ".json", "w") as fh:
+    json.dump({"support_points": [p.tolist() for p in multinomial_support()]}, fh)
 for argv in (["estimate", path, "--method", "pseudolik"],
              ["estimate", path, "--method", "pseudolik", "--group-size", "3"],
              ["estimate", path, "--method", "gee"],
              ["bootstrap", path, "--method", "pseudolik", "--resamples", "5"],
-             ["identify", "--case", "bivariate_normal"]):
+             ["identify", "--case", "bivariate_normal"],
+             ["identify", "--case", "poisson_normal"],
+             ["identify", "--case", "multinomial", "--config", path + ".json"],
+             ["verify-counterexample"]):
     assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
 """
