@@ -46,6 +46,7 @@ ROOT_TOL = 1e-10
 MAX_ITER = 100
 GH_NODES = 64
 _GH_X, _GH_W = hermgauss(GH_NODES)
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,11 @@ class PropensityModel:
     converged: bool
     separation_flag: bool
 
-    @staticmethod
-    def design(x):
-        x = np.asarray(x, dtype=float)
-        return np.column_stack([np.ones_like(x), x])
-
     def pi(self, x):
         if not self.fitted:
             raise NumericalError("propensity model has no finite fit")
-        # an (n, 2) product, not c0 + c1 x: freeing the larger block raises
-        # glibc's trim threshold, without which a pair-kernel fit later in
-        # the same process page-faults its block memory again on every pass
-        return expit(self.design(x) @ self.coefficients)
+        c0, c1 = self.coefficients
+        return expit(c0 + c1 * np.asarray(x, dtype=float))
 
     @staticmethod
     def known(coefficients) -> "PropensityModel":
@@ -91,7 +85,7 @@ def fit_propensity(data: ObservedDataset) -> PropensityModel:
         rate = float(np.mean(t))
         coef = np.array([math.log(rate) - math.log1p(-rate), 0.0])
         return PropensityModel.known(coef)
-    fit: LogisticFit = fit_logistic(PropensityModel.design(x), t)
+    fit: LogisticFit = fit_logistic(np.column_stack([np.ones_like(x), x]), t)
     return PropensityModel(fit.coef, fitted=True, converged=fit.converged,
                            separation_flag=fit.separation_flag)
 
@@ -192,15 +186,23 @@ class Binary2x2:
         e = np.exp(t - np.max(t))
         return (1.0 - self.theta11) * e / e.sum()          # (th12, th21, th22)
 
+    def _divisor_cells(self, theta):
+        """cells(theta) for h, a and the law of X | Y, which divide by
+        th12 + th22 and its square; raises once that square underflows."""
+        cells = self.cells(theta)
+        if not (cells[0] + cells[2]) ** 2 > 0:
+            raise NumericalError("Binary2x2: cells theta_12 + theta_22 underflow to 0")
+        return cells
+
     def h(self, y, theta):
-        th12, th21, th22 = self.cells(theta)
+        th12, th21, th22 = self._divisor_cells(theta)
         h1 = 1.0 + th21 / (self.theta11 + th21)
         h2 = 1.0 + th22 / (th12 + th22)
         y = np.asarray(y, dtype=float)
         return np.where(y == 1.0, h1, h2)
 
     def a(self, y, theta):
-        cells = self.cells(theta)
+        cells = self._divisor_cells(theta)
         th12, th21, th22 = cells
         share = cells / (1.0 - self.theta11)
         # softmax chain rule, reference coordinate t3 fixed at 0:
@@ -218,7 +220,7 @@ class Binary2x2:
 
     def conditional_x_nodes(self, y, theta):
         """Exact two-point law of X in {1, 2} given Y = y."""
-        th12, th21, th22 = self.cells(theta)
+        th12, th21, th22 = self._divisor_cells(theta)
         y = np.asarray(y, dtype=float)
         p2 = np.where(y == 1.0, th21 / (self.theta11 + th21), th22 / (th12 + th22))
         nodes = np.column_stack([np.ones_like(y), np.full_like(y, 2.0)])
@@ -257,9 +259,14 @@ class OptimalF:
         nodes, weights = model.conditional_x_nodes(y, self.theta_pilot)
         h = model.h(y, self.theta_pilot)
         # quadrature nodes are not data records: no floor, the Gaussian
-        # weight tames 1/pi in the tails
-        pin = np.asarray(self.pi_model.pi(nodes.ravel())).reshape(nodes.shape)
-        integrand = (nodes - h[:, None]) ** 2 / pin
+        # weight tames 1/pi in the tails, as long as pi leaves each term,
+        # and so their weighted mean, below half the largest float
+        pin = self.pi_model.pi(nodes)
+        integrand = nodes - h[:, None]
+        integrand *= integrand
+        if not np.all(pin * _HALF_MAX > integrand):
+            raise NumericalError("optimal weight: propensity underflows at a quadrature node")
+        integrand /= pin
         inner = np.sum(np.atleast_2d(weights) * integrand, axis=1)
         if np.any(inner <= 0) or not np.all(np.isfinite(inner)):
             raise NumericalError("optimal weight: nonpositive inner expectation")

@@ -13,9 +13,11 @@ sigma = expit(-theta d), the objective is -sum softplus(-theta d), the
 score sum d sigma and the Hessian H = -sum d^2 sigma (1 - sigma).  One
 kernel pass gives all three, streaming the upper triangle of the d matrix
 in row blocks of about ``_BLOCK`` cells: memory is bounded by a block,
-not by the n_c^2 pairs.  Groupwise variants replace pairs by index groups
-of size g in {2, 3, 4}, normalizing each group by the sum over the g!
-permutations of its x values; g = 2 recovers the pairwise objective.
+not by the n_c^2 pairs.  Each fit allocates the block temporaries once,
+as a workspace that every block of every pass writes into.  Groupwise
+variants replace pairs by index groups of size g in {2, 3, 4},
+normalizing each group by the sum over the g! permutations of its x
+values; g = 2 recovers the pairwise objective.
 
 Asymptotics: with zeta_ik = d log(1 + Q_ik) / d theta = -d sigma,
 sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B average
@@ -103,18 +105,36 @@ def build_pairs(data: ObservedDataset) -> PairDesign:
                       n_total=data.n_total)
 
 
-def _blocks(xc, yc):
-    """Yield (r0, d), d[a, b] = d_ik for i = r0 + a, k = r0 + b: a block of
-    rows by the columns from r0 on, zero on and below the diagonal."""
-    n = len(xc)
+def _workspace(n):
+    """(rows per block, lower-triangle mask of a full block, a buffer of six
+    rows of at least rows n cells for the block temporaries).  A fit makes
+    one and every block of every pass writes into it, so a fit faults its
+    block memory in once, not once per block."""
     rows = min(n, max(1, _BLOCK // n))
-    lower = np.tri(rows, dtype=bool)
+    # each buffer row starts on a 64-byte cache line (np.empty aligns to 16
+    # bytes only): a vector load that straddles two lines is slower
+    width = -(-rows * n // 8) * 8
+    raw = np.empty(6 * width + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return rows, np.tri(rows, dtype=bool), raw[start:start + 6 * width].reshape(6, width)
+
+
+def _blocks(xc, yc, ws):
+    """Yield (r0, views): six (m, n - r0) views of the workspace buffer.
+    The first is d[a, b] = d_ik for i = r0 + a, k = r0 + b, a block of rows
+    by the columns from r0 on, zero on and below the diagonal; the other
+    five are scratch for the pass."""
+    n = len(xc)
+    rows, lower, buf = ws
     for r0 in range(0, n - 1, rows):
         m = min(rows, n - r0)
-        d = np.subtract.outer(xc[r0:r0 + m], xc[r0:])
-        d *= np.subtract.outer(yc[r0:r0 + m], yc[r0:])
+        views = [b[:m * (n - r0)].reshape(m, n - r0) for b in buf]
+        d, dy = views[:2]
+        np.subtract.outer(xc[r0:r0 + m], xc[r0:], out=d)
+        np.subtract.outer(yc[r0:r0 + m], yc[r0:], out=dy)
+        d *= dy
         d[:, :m][lower[:m, :m]] = 0.0
-        yield r0, d
+        yield r0, views
 
 
 class _PairSums(NamedTuple):
@@ -126,32 +146,37 @@ class _PairSums(NamedTuple):
     triples: float      # sum_{i, k != l} zeta_ik zeta_il (rows=True)
 
 
-def _pass(xc, yc, theta, ties=0, signs=False, rows=False) -> _PairSums:
-    """One kernel pass at theta.  With a = |theta|, s = sign(theta),
-    e = exp(-a |d|) and q = 1 / (1 + e): softplus(-theta d) =
-    max(-theta d, 0) + log1p(e), d sigma = (d + s |d|) / 2 - s |d| q and
+def _pass(xc, yc, theta, ws, ties=0, signs=False, rows=False) -> _PairSums:
+    """One kernel pass at theta in the workspace ws.  With a = |theta|,
+    s = sign(theta), e = exp(-a |d|) and q = 1 / (1 + e): softplus(-theta d)
+    = max(-theta d, 0) + log1p(e), d sigma = (d + s |d|) / 2 - s |d| q and
     sigma (1 - sigma) = e q^2, so sums of d and |d| carry the sign parts."""
     n = len(xc)
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
     sum_d = sum_ad = sum_log = sum_r = sum_h = zeta_sq = 0.0
     cells = n_pos = n_neg = 0
     zeta_rows = np.zeros(n) if rows else None
-    for r0, d in _blocks(xc, yc):
+    # r first holds the y differences and log1p(e), so a pass without row
+    # sums keeps four block arrays in cache, not six
+    for r0, (d, r, ad, e, zeta, tmp) in _blocks(xc, yc, ws):
         cells += d.size
         if signs:
             n_pos += int(np.count_nonzero(d > 0))
             n_neg += int(np.count_nonzero(d < 0))
-        ad = np.abs(d)
+        np.abs(d, out=ad)
         sum_d += float(d.sum())
         sum_ad += float(ad.sum())
-        e = np.multiply(ad, -a)
+        np.multiply(ad, -a, out=e)
         np.exp(e, out=e)
-        sum_log += float(np.log1p(e).sum())
-        r = e + 1.0
+        sum_log += float(np.log1p(e, out=r).sum())
+        np.add(e, 1.0, out=r)
         np.divide(ad, r, out=r)                     # r = |d| q
         sum_r += float(r.sum())
-        if rows:
-            zeta = 0.5 * ((2.0 * s) * r - s * ad - d)
+        if rows:        # zeta = 0.5 ((2 s) r - s |d| - d)
+            np.multiply(r, 2.0 * s, out=zeta)
+            zeta -= np.multiply(ad, s, out=tmp)
+            zeta -= d
+            zeta *= 0.5
             zeta_rows[r0:r0 + len(d)] += zeta.sum(axis=1)
             zeta_rows[r0:] += zeta.sum(axis=0)
             zeta_sq += float(np.einsum("ij,ij->", zeta, zeta))
@@ -200,14 +225,15 @@ def fit_pairwise(design: PairDesign) -> PseudoLikResult:
     log-likelihood over untied pairs) from theta = 0; the theta = 0 pass
     also checks for a zero covariate and for separation."""
     xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
-    start = _pass(xc, yc, 0.0, ties, signs=True)
+    ws = _workspace(n)
+    start = _pass(xc, yc, 0.0, ws, ties, signs=True)
     if start.n_pos + start.n_neg == 0:
         raise DomainError("pair covariate v is identically zero")
     if start.n_neg == 0 or start.n_pos == 0:
         direction = 1 if start.n_neg == 0 else -1
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
-    theta, it, converged = _newton(lambda t: _pass(xc, yc, t, ties)[:3], start[:3],
+    theta, it, converged = _newton(lambda t: _pass(xc, yc, t, ws, ties)[:3], start[:3],
                                    n * (n - 1) // 2 - ties, "pairwise")
     return PseudoLikResult(theta_hat=theta, n_complete=n, n_total=design.n_total,
                            iterations=it, converged=converged,
@@ -254,7 +280,7 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
     """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id))."""
     xc, yc = _group_cases(data, group_size)
     if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
-        return _pass(xc, yc, theta).loglik
+        return _pass(xc, yc, theta, _workspace(len(xc))).loglik
     return _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size), theta)[0]
 
 
@@ -318,7 +344,7 @@ def variance_ustat(data: ObservedDataset, theta_hat: float
     n = len(xc)
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
-    sums = _pass(xc, yc, theta_hat, rows=True)
+    sums = _pass(xc, yc, theta_hat, _workspace(n), rows=True)
     a_hat = -2.0 * sums.hess / (n * (n - 1))
     b_hat = 4.0 * sums.triples / (n * (n - 1) * (n - 2))
     if a_hat <= 0 or not math.isfinite(a_hat):

@@ -2,12 +2,14 @@
 
 On arbitrary input files and option values every command returns exit
 code 0, 2, 3 or 4 and raises nothing, so the command line never prints a
-traceback.  Valid values of ``--step`` run the full quadrature (seconds),
+traceback, and a command that exits 0 prints JSON without NaN or
+Infinity.  Valid values of ``--step`` run the full quadrature (seconds),
 so only invalid ones are drawn.
 """
 
 import contextlib
 import io
+import json
 import math
 
 import pytest
@@ -60,12 +62,18 @@ CSV_BYTES = st.one_of(near_valid_csv(), near_valid_csv(), near_valid_csv(),
                       st.binary(max_size=100).map(lambda b: b"x,y,r_x,r_y\n" + b))
 
 
+def _reject_non_finite(name):
+    raise AssertionError(f"{name} in the output of a successful command")
+
+
 def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert "Traceback" not in err.getvalue()
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     return code
 
 

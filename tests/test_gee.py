@@ -217,6 +217,15 @@ def test_optimal_weight_requires_sigma2():
         fopt.values(np.array([1.0]), cc.NormalLinear())
 
 
+@pytest.mark.parametrize("c0", [-800.0, -708.0])
+def test_optimal_weight_rejects_an_underflowing_propensity(c0):
+    # pi = expit(c0) at every node: 0 at -800, and at -708 so small that
+    # (x - h)^2 / pi overflows
+    fopt = cc.optimal_f(cc.PropensityModel.known((c0, 0.0)), np.zeros(2))
+    with pytest.raises(cc.NumericalError, match="underflows"):
+        fopt.values(np.array([0.0, 1.0]), cc.NormalLinear(sigma2=8.19))
+
+
 # ------------------------------------------------------------------ #
 # sandwich
 # ------------------------------------------------------------------ #
@@ -356,3 +365,27 @@ def test_binary_requires_coding_in_one_two():
     data = complete_dataset([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(cc.DataError):
         cc.estimate_binary_2x2(data, 0.5, PI_ONE)
+
+
+@pytest.mark.parametrize("t2", [800.0, 380.0])
+def test_binary_cell_underflow_raises_before_dividing(t2):
+    # t2 = 800 leaves theta_12 = theta_22 = 0; at 380 their sum is
+    # positive but its square, which a divides by, underflows
+    model = cc.Binary2x2(0.4)
+    y = np.array([1.0, 2.0])
+    theta = np.array([0.0, t2])
+    for evaluate in (model.h, model.a, model.conditional_x_nodes):
+        with pytest.raises(cc.NumericalError, match="underflow"):
+            evaluate(y, theta)
+
+
+def test_binary_diverging_fit_raises():
+    # three complete cases; the Newton path runs t2 off to +inf, which
+    # used to end in NaN cells and a NaN log odds ratio
+    nan = np.nan
+    data = make_dataset([2, nan, 1, 2, 2, nan, 2, nan, nan, 2, nan, nan, nan, nan],
+                        [1, nan, nan, 2, nan, nan, nan, nan, 1, 2, 2, nan, 1, nan],
+                        [1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0],
+                        [1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0])
+    with pytest.raises(cc.NumericalError, match="underflow"):
+        cc.estimate_binary_2x2(data, 0.4, cc.fit_propensity(data))

@@ -397,6 +397,31 @@ def test_kernel_errors_match_oracle(block, monkeypatch):
             assert got.value.direction == want.value.direction == direction
 
 
+def test_one_workspace_per_fit(monkeypatch):
+    calls = []
+    make = cc.pseudolik._workspace
+    monkeypatch.setattr(cc.pseudolik, "_workspace", lambda n: calls.append(n) or make(n))
+    data = next(_kernel_cases())[1]
+    res = cc.fit_pairwise(cc.build_pairs(data))
+    assert res.iterations > 2 and calls == [90]
+    cc.variance_ustat(data, res.theta_hat)
+    assert calls == [90, 90]
+    cc.groupwise_loglik(data, 0.3, 2)
+    assert calls == [90, 90, 90]
+
+
+def test_section61_fit_is_pinned():
+    # n_c = 2251 gives 29 rows per block and a last block of 18 rows; the
+    # values are the ones the kernel gave before it had a workspace
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 4100, seed=7)
+    data = cc.simulate_dataset(config).observed
+    res = cc.fit_pairwise_with_variance(data)
+    assert data.n_complete == 2251
+    assert res.theta_hat == 0.09596666519442335
+    assert res.a_hat == 3.9842138358491583
+    assert res.b_hat == 3.794594893538062
+
+
 def test_ties_counted_from_runs_of_equal_y():
     data = complete_dataset([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
     design = cc.build_pairs(data)
