@@ -40,7 +40,6 @@ import numpy as np
 from .errors import DataError
 from .families import expit
 from .gee import check_floor
-from .glm import fit_logistic
 from .model import ObservedDataset
 
 MISSING_TOKEN = 0.0   # X* feature value used when R_x = 0 (paired with R_x)
@@ -119,6 +118,7 @@ def fit_permutation_nuisances(data: ObservedDataset, h_fn: Callable
     ym = data.r_y == 1
     if not np.any(ym) or not np.any(data.r_x == 1):
         raise DataError("need observed rows in both margins")
+    from .glm import fit_logistic   # read at call time, like a wrapper patched onto glm
     w_fit = fit_logistic(np.column_stack([np.ones(ym.sum()), data.y[ym]]),
                          data.r_x[ym].astype(float))
     x_star = np.where(data.r_x == 1, data.x, MISSING_TOKEN)

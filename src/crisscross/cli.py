@@ -5,6 +5,9 @@ verify-counterexample, bootstrap.  Exit codes: 0 success, 2 configuration
 or domain error (ConfigError, DomainError), 3 data error (DataError), 4
 numerical failure (NumericalError, SeparationError) or any other
 CrissCrossError.  An error prints one line to stderr, never a traceback.
+
+Each handler imports the layers it runs when it runs, so a command loads
+no layer it does not call (``--version`` loads none).
 """
 
 from __future__ import annotations
@@ -14,24 +17,15 @@ import contextlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .counterexample import verify_counterexample
-from .dataio import load_dataset, save_dataset, save_report
 from .errors import ConfigError, CrissCrossError, DataError, DomainError, NumericalError
-from .experiments import ExperimentConfig, bootstrap, run_experiment, write_summary
-from .gee import (NonOptimalF, NormalLinear, estimate_binary_2x2,
-                  fit_propensity, optimal_f, solve_gee)
-from .identify import (CASE_STUDIES, build_jacobian, case_study, full_law_verdict,
-                       sufficient_knowledge_search)
-from .model import (ExpFamilySpec, MissingnessMechanism, TargetLawParams,
-                    or_from_theta)
-from .pseudolik import (build_pairs, fit_groupwise, fit_pairwise,
-                        fit_pairwise_with_variance)
-from .simulate import (Binary2x2Model, BivariateNormalTarget, ScenarioConfig,
-                       missingness_summary, simulate_dataset)
+
+if TYPE_CHECKING:
+    from .model import ExpFamilySpec, MissingnessMechanism, TargetLawParams
 
 
 def main(argv=None) -> int:
@@ -151,17 +145,18 @@ def _load_config(args) -> dict:
 
 @contextlib.contextmanager
 def _config_entries(command: str):
-    """A missing key or an entry of the wrong type or form in ``command``'s
-    JSON config is a ConfigError, not a traceback."""
+    """A missing key or an entry of the wrong type, form or length in
+    ``command``'s JSON config is a ConfigError, not a traceback."""
     try:
         yield
     except KeyError as exc:
         raise ConfigError(f"{command} config missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {command} config entry: {exc}") from None
 
 
 def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
+    from .model import MissingnessMechanism
     if "mechanism" in cfg:
         m = cfg["mechanism"]
         return MissingnessMechanism(tuple(m["rx_given_y"]), tuple(m["ry_given_x_rx"]))
@@ -170,6 +165,8 @@ def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
 
 
 def _cmd_simulate(args):
+    from .simulate import (Binary2x2Model, BivariateNormalTarget, ScenarioConfig,
+                           missingness_summary, simulate_dataset)
     cfg = _load_config(args)
     with _config_entries("simulate"):
         mech = _mechanism(cfg, getattr(args, "misspecified", False))
@@ -187,6 +184,7 @@ def _cmd_simulate(args):
     sim = simulate_dataset(ScenarioConfig(target, mech, args.n, args.seed))
     summary = missingness_summary(sim.observed)
     if args.out:
+        from .dataio import save_dataset
         save_dataset(sim.observed, args.out)
     print(json.dumps({
         "n_total": sim.observed.n_total,
@@ -198,6 +196,7 @@ def _cmd_simulate(args):
 
 
 def _params_from_config(cfg: dict) -> tuple[ExpFamilySpec, TargetLawParams]:
+    from .model import ExpFamilySpec, TargetLawParams
     spec = ExpFamilySpec(cfg["family_x"], cfg["family_y_given_x"],
                          cfg.get("link", "canonical"),
                          cfg.get("known_nuisance", {}))
@@ -210,6 +209,8 @@ def _params_from_config(cfg: dict) -> tuple[ExpFamilySpec, TargetLawParams]:
 
 
 def _cmd_identify(args):
+    from .identify import (CASE_STUDIES, build_jacobian, case_study,
+                           full_law_verdict, sufficient_knowledge_search)
     if args.list_cases:
         print(json.dumps({name: c.summary for name, c in CASE_STUDIES.items()},
                          indent=2))
@@ -251,6 +252,7 @@ def _cmd_identify(args):
         },
     }
     if args.out:
+        from .dataio import save_report
         save_report(payload, args.out)
     print(json.dumps(payload, indent=2))
 
@@ -275,10 +277,13 @@ def _cmd_estimate(args):
     known = _parse_known(args.known)
     if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
         raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
+    from .dataio import load_dataset, save_report
+    from .model import or_from_theta
     data = load_dataset(args.data)
     payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
     if args.method == "pseudolik":
         if args.group_size == 2:
+            from .pseudolik import fit_pairwise_with_variance
             res = fit_pairwise_with_variance(data)
             payload.update({
                 "theta_hat": res.theta_hat, "se": res.se,
@@ -291,6 +296,7 @@ def _cmd_estimate(args):
                                             res.sandwich_var / res.n_complete)
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
         else:
+            from .pseudolik import fit_groupwise
             res = fit_groupwise(data, args.group_size)
             payload.update({"theta_hat": res.theta_hat,
                             "group_size": res.group_size,
@@ -300,6 +306,7 @@ def _cmd_estimate(args):
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary estimation needs --theta11")
+        from .gee import estimate_binary_2x2, fit_propensity
         res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
         payload.update({
             "theta11": res.theta11,
@@ -309,6 +316,7 @@ def _cmd_estimate(args):
             "converged": res.gee.converged, "iterations": res.gee.iterations,
         })
     else:
+        from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
         model = NormalLinear(known=known, sigma2=args.sigma2)
         pi_model = fit_propensity(data)
         if args.f == "optimal":
@@ -346,6 +354,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_experiment(args):
+    from .experiments import ExperimentConfig, run_experiment, write_summary
     cfg = _load_config(args)
     if not cfg:
         raise ConfigError("experiment needs a --config JSON file")
@@ -367,6 +376,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_counterexample(args):
+    from .counterexample import verify_counterexample
     report = verify_counterexample(step=args.step, quad_tol=args.quad_tol)
     payload = {
         "max_abs_discrepancy": report.max_abs_discrepancy,
@@ -375,19 +385,25 @@ def _cmd_counterexample(args):
         "grid": list(report.grid),
     }
     if args.out:
+        from .dataio import save_report
         save_report(payload, args.out)
     print(json.dumps(payload, indent=2))
 
 
 def _cmd_bootstrap(args):
+    from .dataio import load_dataset, save_report
+    from .experiments import bootstrap
     data = load_dataset(args.data)
     if args.method == "pseudolik":
+        from .pseudolik import build_pairs, fit_pairwise
+
         def fit(d):
             theta = fit_pairwise(build_pairs(d)).theta_hat
             return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary bootstrap needs --theta11")
+        from .gee import estimate_binary_2x2, fit_propensity
 
         def fit(d):
             res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
@@ -395,6 +411,8 @@ def _cmd_bootstrap(args):
                     "theta12": res.cells[0], "theta21": res.cells[1],
                     "theta22": res.cells[2]}
     else:
+        from .gee import NonOptimalF, NormalLinear, fit_propensity, solve_gee
+
         def fit(d):
             res = solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF())
             return dict(zip(res.param_names, res.theta_hat.tolist()))

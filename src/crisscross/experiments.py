@@ -27,17 +27,18 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataio import save_report
 from .errors import ConfigError, CrissCrossError, DataError
-from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
 from .model import ObservedDataset, or_from_theta
-from .pseudolik import fit_pairwise_with_variance
-from .simulate import (MISSPECIFIED_MECHANISM, SECTION61_MECHANISM,
-                       SECTION61_TARGET, BivariateNormalTarget, ScenarioConfig,
-                       simulate_dataset)
+
+if TYPE_CHECKING:
+    from .simulate import BivariateNormalTarget
+
+# The study's layers (simulate, pseudolik, gee, dataio) are imported by the
+# functions that run them, so ``bootstrap`` alone loads none of them.
 
 METHODS = ("pseudolik", "gee_nonoptimal", "gee_optimal")
 SWEEPS = ("sample_size", "rho", "misspecification")
@@ -102,6 +103,7 @@ class SweepPoint:
 
 
 def sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
+    from .simulate import MISSPECIFIED_MECHANISM, SECTION61_MECHANISM, SECTION61_TARGET
     points = []
     for i, v in enumerate(config.values):
         if config.sweep == "rho":
@@ -117,7 +119,7 @@ def sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
         alpha, beta, s2 = target.conditional()
         theta = beta / s2
         truth = {"alpha": alpha, "beta": beta, "theta": theta,
-                 "or": math.exp(theta)}
+                 "or": or_from_theta(theta, 0.0)[0]}
         known = {}
         for name, val in config.known.items():
             known[name] = truth[name] if val == "truth" else float(val)
@@ -168,6 +170,7 @@ class ReplicationSummary:
 
 
 def _simulate_replicate(point: SweepPoint, base_seed: int, r: int):
+    from .simulate import ScenarioConfig, simulate_dataset
     rng = np.random.default_rng(np.random.SeedSequence((base_seed, point.index, r)))
     config = ScenarioConfig(point.target, point.mechanism, point.n_total,
                             seed=base_seed)
@@ -175,6 +178,7 @@ def _simulate_replicate(point: SweepPoint, base_seed: int, r: int):
 
 
 def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
+    from .pseudolik import fit_pairwise_with_variance
     res = fit_pairwise_with_variance(data)
     if not res.converged:
         raise DataError("pairwise fit did not converge")
@@ -186,6 +190,7 @@ def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
 
 def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dict]:
     """GEE with the plain weight, or the optimal one when a pilot is given."""
+    from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
     model = NormalLinear(known=point.known, sigma2=point.sigma2)
     pi_model = fit_propensity(data)
     weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
@@ -312,6 +317,7 @@ def _cell_stats(vals, ses_arr, truth, n_failed) -> CellStats:
 
 def write_summary(summary: ReplicationSummary, prefix) -> None:
     """Tidy CSV (sweep_point, method, parameter, statistic, value) + JSON."""
+    from .dataio import save_report
     rows = summary.tidy_records()
     lines = ["sweep_point,method,parameter,statistic,value"]
     for row in sorted(rows, key=lambda r: (r["sweep_point"], r["method"],

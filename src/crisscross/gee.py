@@ -38,7 +38,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import DataError, DomainError, NumericalError
 from .families import expit
-from .glm import LogisticFit, fit_logistic
+from .glm import LogisticFit
 from .model import ObservedDataset
 
 PROPENSITY_FLOOR = 1e-6
@@ -85,6 +85,7 @@ def fit_propensity(data: ObservedDataset) -> PropensityModel:
         rate = float(np.mean(t))
         coef = np.array([math.log(rate) - math.log1p(-rate), 0.0])
         return PropensityModel.known(coef)
+    from .glm import fit_logistic   # read at call time, like a wrapper patched onto glm
     fit: LogisticFit = fit_logistic(np.column_stack([np.ones_like(x), x]), t)
     return PropensityModel(fit.coef, fitted=True, converged=fit.converged,
                            separation_flag=fit.separation_flag)

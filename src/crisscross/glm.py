@@ -27,8 +27,13 @@ class LogisticFit:
     separation_flag: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")      # _finite checks instead
 def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
-    """Maximize the Bernoulli log-likelihood of ``response`` on ``design``."""
+    """Maximize the Bernoulli log-likelihood of ``response`` on ``design``.
+
+    Raises NumericalError once the gradient, the information matrix or the
+    log-likelihood is not finite, as when a covariate near the float range
+    (say 1e300) overflows the fit's products."""
     X = np.asarray(design, dtype=float)
     t = np.asarray(response, dtype=float)
     n, p = X.shape
@@ -44,9 +49,8 @@ def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
     converged = False
     for it in range(1, MAX_ITER + 1):
         p_hat = expit(X @ beta)
-        grad = X.T @ (t - p_hat)
-        w = p_hat * (1.0 - p_hat)
-        hess = X.T @ (X * w[:, None])
+        grad = _finite("gradient", X.T @ (t - p_hat))
+        hess = _information(X, p_hat)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -66,9 +70,7 @@ def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
             break
 
     separation = (not converged and np.max(np.abs(beta)) > 30.0)
-    p_hat = expit(X @ beta)
-    w = p_hat * (1.0 - p_hat)
-    hess = X.T @ (X * w[:, None])
+    hess = _information(X, expit(X @ beta))
     try:
         cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -78,6 +80,18 @@ def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
                        separation_flag=separation)
 
 
+def _finite(what: str, value):
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"logistic fit: {what} is not finite; "
+                             "the covariates are too large in magnitude")
+    return value
+
+
+def _information(X, p_hat):
+    w = p_hat * (1.0 - p_hat)
+    return _finite("information matrix", X.T @ (X * w[:, None]))
+
+
 def _loglik(X, t, beta):
     lin = X @ beta
-    return float(np.sum(t * lin - np.logaddexp(0.0, lin)))
+    return _finite("log-likelihood", float(np.sum(t * lin - np.logaddexp(0.0, lin))))

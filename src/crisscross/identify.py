@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .families import Family, Link, check_predictor_domain, link_table
 from .model import ExpFamilySpec, TargetLawParams
 
@@ -279,9 +279,21 @@ def _scalarize(v):
 
 def build_jacobian(spec: ExpFamilySpec, params: TargetLawParams,
                    support_points) -> JacobianReport:
-    """Exact-partials Jacobian of the stacked contrast equations."""
+    """Exact-partials Jacobian of the stacked contrast equations.
+
+    Raises NumericalError when an entry overflows, as it does for a support
+    point or parameter near the float range."""
     stack = equation_stack(spec, params, support_points)
-    return _report(stack.jacobian(stack.theta0), stack.param_names)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            j = stack.jacobian(stack.theta0)
+        finite = bool(np.all(np.isfinite(j)))
+    except OverflowError:           # Python float arithmetic in the link tables
+        finite = False
+    if not finite:
+        raise NumericalError("the Jacobian is not finite at these support points "
+                             "and parameters")
+    return _report(j, stack.param_names)
 
 
 # --------------------------------------------------------------------- #

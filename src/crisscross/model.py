@@ -184,13 +184,21 @@ def derive_conditional(mu1: float, mu2: float, sigma1: float, sigma2: float,
     Returns (alpha, beta, sigma2_cond) with E[X | Y=y] = alpha + beta*y and
     Var(X | Y) = sigma2_cond.
     """
+    if not all(map(math.isfinite, (mu1, mu2, sigma1, sigma2))):
+        raise DomainError("means and standard deviations must be finite")
     if not (sigma1 > 0 and sigma2 > 0):
         raise DomainError("standard deviations must be positive")
     if not abs(rho) < 1:
         raise DomainError("correlation must satisfy |rho| < 1")
     beta = rho * sigma2 / sigma1
     alpha = mu2 - beta * mu1
-    sigma2_cond = (1.0 - rho ** 2) * sigma2 ** 2
+    try:
+        sigma2_cond = (1.0 - rho ** 2) * sigma2 ** 2
+    except OverflowError:
+        sigma2_cond = math.inf
+    if not (math.isfinite(alpha) and math.isfinite(beta) and 0 < sigma2_cond < math.inf):
+        raise DomainError("the law of X | Y overflows or degenerates at these "
+                          "means and standard deviations")
     return alpha, beta, sigma2_cond
 
 

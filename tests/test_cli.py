@@ -207,10 +207,13 @@ _EXPERIMENT = ["experiment", "--config", "CONFIG"]
     ('{"mechanism": {"rx_given_y": 5}}', ["simulate", "--config", "CONFIG"]),
     ('{"family_x": "normal", "theta": {}}', ["identify", "--config", "CONFIG"]),
     ('{"case": "normal_inverse", "theta": {}}', ["identify", "--config", "CONFIG"]),
+    ('{"family_x": "exponential", "family_y_given_x": "exponential", "theta": '
+     '{"alpha": -1.0, "beta": [-0.5], "eta_x": []}, "support_points": [0.0, 1.0, 2.0]}',
+     ["identify", "--config", "CONFIG"]),
 ], ids=["values-str", "values-nan", "values-scalar", "replicates-str",
         "replicates-float", "base_seed-negative", "known-str", "top-level-array",
         "identify-max-set-size", "simulate-target-field", "simulate-mechanism-int",
-        "identify-missing-family", "identify-case-theta"])
+        "identify-missing-family", "identify-case-theta", "identify-empty-eta"])
 def test_exit_code_2_on_unchecked_config_value(config, argv, tmp_path, capsys):
     path = tmp_path / "config.json"
     if config is not None:
@@ -226,6 +229,20 @@ def test_exit_code_3_when_a_bootstrap_se_has_one_estimate(tmp_path, capsys):
     argv = ["bootstrap", str(path), "--method", "pseudolik", "--resamples", "2",
             "--seed", "0"]
     assert _run_without_traceback(argv, capsys) == 3
+
+
+def test_covariate_near_the_float_range_is_a_numerical_failure(tmp_path, capsys):
+    # x = -1e300 overflows the propensity fit's information matrix
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y,r_x,r_y\n-1,,1,0\n,,0,0\n,0,0,1\n-3,-3,1,1\n"
+                    "-1.0661385132660358e-68,-0.9379069235692574,1,1\n-1e300,,1,0\n")
+    assert _run_without_traceback(["estimate", str(path), "--method", "gee"],
+                                  capsys) == 4
+    code = main(["bootstrap", str(path), "--method", "gee", "--resamples", "20"])
+    out = capsys.readouterr().out
+    assert code in (0, 3)
+    if code == 0:
+        assert all(np.isfinite(list(json.loads(out)["se"].values())))
 
 
 def test_exit_code_3_on_non_finite_value(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Property tests of the CLI error contract.
 
-On arbitrary input files and option values every command returns exit
-code 0, 2, 3 or 4 and raises nothing, so the command line never prints a
-traceback, and a command that exits 0 prints JSON without NaN or
-Infinity.  Valid values of ``--step`` run the full quadrature (seconds),
-so only invalid ones are drawn.
+On arbitrary input files, option values and ``--config`` files every
+command returns exit code 0, 2, 3 or 4 and raises nothing, so the command
+line never prints a traceback, and a command that exits 0 prints JSON
+without NaN or Infinity.  Valid values of ``--step`` run the full
+quadrature (seconds), so only invalid ones are drawn.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -119,3 +120,68 @@ def test_any_option_value_exits_with_a_documented_code(work, sigma2, known, cell
                 f"--quad-tol={quad_tol!r}"])
     if not 0 < quad_tol < math.inf:
         assert _exit_code(["verify-counterexample", f"--quad-tol={quad_tol!r}"]) == 2
+
+
+SIMULATE_CONFIG = {
+    "target": {"mu1": 2.0, "mu2": 0.4, "sigma1": 1.0, "sigma2": 3.0, "rho": 0.3},
+    "mechanism": {"rx_given_y": [-0.5, 1.0], "ry_given_x_rx": [2.0, -1.0, 0.7]},
+}
+IDENTIFY_CONFIGS = (
+    {"case": "poisson_normal", "support_points": [0.0, 1.0, 2.0, 3.0]},
+    {"family_x": "exponential", "family_y_given_x": "exponential",
+     "theta": {"alpha": -1.0, "beta": [-0.5], "eta_x": [-1.0]},
+     "support_points": [0.0, 1.0, 2.0, 3.0]},
+)
+EXPERIMENT_CONFIGS = tuple(
+    {"sweep": sweep, "values": [value], "replicates": 2, "base_seed": 3,
+     "n_total": 40, "known": {"alpha": "truth"},
+     "methods": ["pseudolik", "gee_nonoptimal", "gee_optimal"]}
+    for sweep, value in (("sample_size", 40), ("rho", 0.3)))
+
+JSON_JUNK = (None, True, 0, -1, 1, 2.5, -0.5, 0.999999, math.nan, math.inf,
+             "", "abc", "truth", "rho", "normal", [], [0.5], [0.0, 1.0], {},
+             {"rho": 2.0})
+# An experiment draws every sample it is given, so its junk holds no large
+# number: a sample size of 1e9 would allocate gigabytes before failing.
+HUGE = (1e300, -1e300, 10 ** 12)
+
+
+def _entries(node):
+    """(container, key) for every entry of a JSON document, at any depth."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _entries(value)
+
+
+@st.composite
+def near_valid_config(draw, valid, junk):
+    """``valid`` with up to two entries dropped or replaced by junk, or a
+    document that is junk as a whole."""
+    junk = st.sampled_from(junk)
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(junk))
+    cfg = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(list(_entries(cfg))))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(junk))    # a later draw may edit it
+    return json.dumps(cfg)
+
+
+@settings(FUZZ, max_examples=150)
+@given(simulate=near_valid_config(SIMULATE_CONFIG, JSON_JUNK + HUGE),
+       identify=st.sampled_from(IDENTIFY_CONFIGS).flatmap(
+           lambda valid: near_valid_config(valid, JSON_JUNK + HUGE)),
+       experiment=st.sampled_from(EXPERIMENT_CONFIGS).flatmap(
+           lambda valid: near_valid_config(valid, JSON_JUNK)))
+def test_any_config_file_exits_with_a_documented_code(work, simulate, identify,
+                                                      experiment):
+    path = work / "config.json"
+    for argv, config in ((["simulate", "--n", "50"], simulate),
+                         (["identify", "--max-set-size", "1"], identify),
+                         (["experiment"], experiment)):
+        path.write_text(config)
+        _exit_code([*argv, "--config", str(path)])

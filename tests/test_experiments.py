@@ -95,6 +95,13 @@ def test_misspecification_sweep_uses_quadratic_mechanism():
     assert point.mechanism is cc.MISSPECIFIED_MECHANISM
 
 
+def test_true_odds_ratio_overflow_raises():
+    # rho = 0.99999 puts the true log odds ratio near 1.7e4
+    cfg = cc.ExperimentConfig(sweep="rho", values=(0.99999,), replicates=2)
+    with pytest.raises(cc.NumericalError, match="odds ratio"):
+        cc.sweep_points(cfg)
+
+
 def test_config_validation():
     with pytest.raises(cc.ConfigError):
         cc.ExperimentConfig(sweep="nope", values=(1,))

@@ -103,6 +103,15 @@ def test_link_singularity_is_domain_error():
         case.build(theta, (-1.0, 0.5, 1.0, 2.0, 3.0))   # alpha + beta*(-1) = 0
 
 
+@pytest.mark.parametrize("support", [(1e300, 1.0, 2.0, 3.0), (1e160, 1.0, 2.0, 3.0)])
+def test_overflowing_jacobian_is_numerical_error(support):
+    # support points whose Jacobian entries overflow the float range
+    case = case_study("poisson_normal")
+    theta = case.random_theta(np.random.default_rng(0))
+    with pytest.raises(cc.NumericalError, match="not finite"):
+        case.build(theta, support)
+
+
 def test_support_points_must_be_distinct():
     case = case_study("normal_inverse")
     theta = case.random_theta(np.random.default_rng(0))

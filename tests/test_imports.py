@@ -1,11 +1,17 @@
 """Static checks on the package source (stdlib ``ast``, no linter needed),
-and a check of what the CLI loads."""
+checks of what the CLI loads, and the package's public names."""
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import crisscross as cc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crisscross"
 
@@ -34,9 +40,8 @@ def test_checker_flags_only_unread_names():
 
 
 def test_no_unused_module_imports():
-    """``__init__.py`` only re-exports, so it is exempt."""
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+             for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -167,10 +172,104 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.std
 """
 
 
-def test_cli_commands_do_not_load_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_commands_do_not_load_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path / "data.csv")],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
+_LOADED = """
+import json
+import sys
+if sys.argv[1:]:
+    from crisscross.cli import main
+    assert main(sys.argv[1:]) == 0, sys.argv
+else:
+    import crisscross
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "crisscross")),
+      file=sys.stderr)
+"""
+
+_CLI = {"crisscross", "crisscross.cli", "crisscross.errors"}
+_DATA = _CLI | {"crisscross.dataio", "crisscross.model", "crisscross.families"}
+
+
+@pytest.fixture(scope="module")
+def data_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("loads") / "data.csv"
+    sim = cc.simulate_dataset(cc.ScenarioConfig(cc.SECTION61_TARGET,
+                                                cc.SECTION61_MECHANISM, 120, 7))
+    cc.save_dataset(sim.observed, path)
+    return path
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ([], {"crisscross"}),
+    (["estimate", "DATA", "--method", "pseudolik"], _DATA | {"crisscross.pseudolik"}),
+    (["estimate", "DATA", "--method", "pseudolik", "--group-size", "3"],
+     _DATA | {"crisscross.pseudolik"}),
+    (["bootstrap", "DATA", "--method", "pseudolik", "--resamples", "3"],
+     _DATA | {"crisscross.pseudolik", "crisscross.experiments"}),
+    (["estimate", "DATA", "--method", "gee"], _DATA | {"crisscross.gee", "crisscross.glm"}),
+    (["identify", "--case", "bivariate_normal"],
+     _CLI | {"crisscross.identify", "crisscross.model", "crisscross.families"}),
+    (["verify-counterexample"], _CLI | {"crisscross.counterexample"}),
+], ids=["import", "estimate-pseudolik", "estimate-g3", "bootstrap-pseudolik",
+        "estimate-gee", "identify", "verify-counterexample"])
+def test_each_command_loads_only_its_layers(argv, modules, data_csv):
+    argv = [str(data_csv) if a == "DATA" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stderr.strip().splitlines()[-1])) == modules
+
+
+# every name the package exported when ``__init__`` imported its layers
+PUBLIC = {
+    "errors": "ConfigError CrissCrossError DataError DomainError NumericalError "
+              "SeparationError",
+    "families": "Family Link expit logit",
+    "model": "ExpFamilySpec MissingnessMechanism ObservedDataset PairKernel "
+             "TargetLawParams derive_conditional eval_q or_from_theta",
+    "simulate": "Binary2x2Model BivariateNormalTarget ExpFamilyTarget "
+                "MISSPECIFIED_MECHANISM SECTION61_MECHANISM SECTION61_TARGET "
+                "ScenarioConfig SimulationResult missingness_summary "
+                "simulate_binary simulate_dataset",
+    "dataio": "load_dataset save_dataset save_report",
+    "identify": "CASE_STUDIES FullLawVerdict JacobianReport build_jacobian "
+                "case_study equation_stack full_law_verdict numerical_rank "
+                "sufficient_knowledge_search",
+    "counterexample": "CounterexampleReport verify_counterexample",
+    "pseudolik": "PairDesign PseudoLikResult build_pairs fit_groupwise fit_pairwise "
+                 "fit_pairwise_with_variance groupwise_loglik variance_ustat",
+    "gee": "Binary2x2 Binary2x2Result GeeResult NonOptimalF NormalLinear OptimalF "
+           "PropensityModel estimate_binary_2x2 fit_propensity gee_residual "
+           "optimal_f sandwich_gee solve_gee",
+    "aipw": "AipwResult PermutationNuisance aipw_permutation fit_permutation_nuisances",
+    "experiments": "BootstrapResult ExperimentConfig ReplicationSummary bootstrap "
+                   "run_experiment sweep_points write_summary",
+}
+
+
+def test_public_names_resolve_to_their_submodule():
+    listed = dir(cc)
+    for module, names in PUBLIC.items():
+        sub = importlib.import_module(f"crisscross.{module}")
+        for name in names.split():
+            scope = {}
+            exec(f"from crisscross import {name}", scope)
+            assert getattr(cc, name) is scope[name] is getattr(sub, name), name
+            assert name in listed, name
+            # read through, never stored: a name patched on the submodule
+            # and restored there is the same object here
+            assert name not in vars(cc), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cc, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from crisscross import no_such_name", {})

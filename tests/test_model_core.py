@@ -66,6 +66,11 @@ def test_derive_conditional_domain_errors():
         cc.derive_conditional(0, 0, -1, 1, 0.2)
     with pytest.raises(cc.DomainError):
         cc.derive_conditional(0, 0, 1, 1, 1.0)
+    # non-finite inputs, and finite ones whose conditional law overflows
+    for args in ((0, 0, math.inf, 1, 0.2), (math.nan, 0, 1, 1, 0.2),
+                 (0, 0, 1, 1e300, 0.2), (0, 0, 5e-324, 1, 0.2)):
+        with pytest.raises(cc.DomainError):
+            cc.derive_conditional(*args)
 
 
 @given(mu1=st.floats(-3, 3), mu2=st.floats(-3, 3),
