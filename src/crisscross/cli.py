@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         args.handler(args)
     except ConfigError as exc:
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_identify)
 
     p = sub.add_parser("estimate", help="fit one method on a CSV dataset")
-    _common(p)
+    _common(p, seed=False, config=False)
     p.add_argument("data", type=str, help="CSV file with header x,y,r_x,r_y")
     p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
     p.add_argument("--group-size", type=int, default=2)
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-counterexample",
                        help="check the two observed-equivalent full laws")
-    _common(p)
+    _common(p, seed=False, config=False)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--quad-tol", type=float, default=1e-9,
                    help="the Gauss-Legendre integrals may differ from their "
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("bootstrap", help="bootstrap SEs for one method")
-    _common(p)
+    _common(p, config=False)
     p.add_argument("data", type=str)
     p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
     p.add_argument("--resamples", type=int, default=1000)
@@ -120,11 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common(p):
-    p.add_argument("--seed", type=int, default=0)
+def _common(p, seed=True, config=True):
+    """--out and --threads on every command; --seed and --config only where
+    the command reads them, so a flag it would ignore is a usage error."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON configuration file")
+    if config:
+        p.add_argument("--config", type=str, default=None,
+                       help="JSON configuration file")
     p.add_argument("--threads", type=int, default=1)
 
 

@@ -86,6 +86,8 @@ def load_dataset(path) -> ObservedDataset:
 
 class _NumpyEncoder(json.JSONEncoder):
     def default(self, obj):
+        if isinstance(obj, np.bool_):
+            return bool(obj)
         if isinstance(obj, np.integer):
             return int(obj)
         if isinstance(obj, np.floating):

@@ -81,6 +81,11 @@ class ExperimentConfig:
             if val != "truth" and not (_is_real(val) and math.isfinite(val)):
                 raise ConfigError(f"known {name} must be \"truth\" or a finite number, "
                                   f"got {val!r}")
+        from .simulate import check_rows_fit
+        rows = (self.n_total if self.sweep == "rho"
+                else max((int(v) for v in values), default=0))
+        # a sweep point holds all of its replicate datasets at once
+        check_rows_fit(self.replicates * rows, "replicates x sample size")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "known", known)

@@ -39,11 +39,10 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DataError, DomainError, NumericalError
 from .families import expit
 from .glm import LogisticFit
-from .model import ObservedDataset
+from .model import ObservedDataset, newton
 
 PROPENSITY_FLOOR = 1e-6
 ROOT_TOL = 1e-10
-MAX_ITER = 100
 GH_NODES = 64
 _GH_X, _GH_W = hermgauss(GH_NODES)
 _HALF_MAX = 0.5 * np.finfo(float).max
@@ -332,35 +331,20 @@ def gee_residual(data: ObservedDataset, model, pi_model: PropensityModel,
 
 def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
               ) -> GeeResult:
-    """Newton root of the estimating equation; linear mean models converge
-    in one step."""
-    theta = model.theta0()
+    """Newton root of the estimating equation, damped on the residual norm;
+    linear mean models converge in one step."""
     cases = _weighted_cases(data, model, pi_model, f)
     _, yc, pi, F = cases
-    g = _residual(cases, model, theta, data.n_total)
     f_over_pi = F * (1.0 / pi)[:, None]
 
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        if np.linalg.norm(g) <= ROOT_TOL:
-            converged = True
-            break
+    def evaluate(theta):
+        g = _residual(cases, model, theta, data.n_total)
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular estimating-equation Jacobian: {exc}") from exc
-        norm0 = np.linalg.norm(g)
-        scale = 1.0
-        for _ in range(40):
-            cand = theta + scale * step
-            g_new = _residual(cases, model, cand, data.n_total)
-            if np.linalg.norm(g_new) <= norm0 * (1.0 + 1e-12):
-                break
-            scale *= 0.5
-        theta = theta + scale * step
-        g = g_new
+        return -np.linalg.norm(g), g, J
+
+    theta0 = model.theta0()
+    theta, it, converged, g = newton(evaluate, theta0, evaluate(theta0), 1, ROOT_TOL,
+                                     "estimating equation")
     c_hat, d_hat, cov = (None, None, None)
     if converged:
         try:

@@ -47,6 +47,7 @@ def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
     ll = _loglik(X, t, beta)
     it = 0
     converged = False
+    # not model.newton yet: it converges fits perfbench/reference.json stores as unconverged
     for it in range(1, MAX_ITER + 1):
         p_hat = expit(X @ beta)
         grad = _finite("gradient", X.T @ (t - p_hat))

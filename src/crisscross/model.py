@@ -1,5 +1,6 @@
 """Core model types: target-law parameters, missingness mechanism,
-observed datasets, and the pairwise odds-ratio kernel.
+observed datasets, the pairwise odds-ratio kernel, and the damped-Newton
+solver shared by the pseudo-likelihood and estimating-equation fits.
 
 The data model is a pair (X, Y) with missingness indicators (R_x, R_y)
 obeying the criss-cross restrictions R_x _||_ X | Y and
@@ -24,6 +25,8 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericalError
 from .families import Family, Link, expit
+
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -217,3 +220,40 @@ def or_from_theta(theta_hat: float, theta_var: float, contrast: float = 1.0
         raise NumericalError(f"odds ratio at log-odds {theta_hat * contrast!r} "
                              "or its SE is not finite")
     return point, se
+
+
+def newton(evaluate, theta0, start, n_terms: int, tol: float, label: str):
+    """Damped Newton iteration toward a root of g from theta0, where
+    evaluate(theta) = (merit, g, J = dg/dtheta) and start = evaluate(theta0);
+    returns (theta, iterations, converged, g), theta scalar if theta0 is.
+
+    A step solves J step = -g.  The full step may lower the merit by
+    roundoff, 1e-12 max(1, |merit|); a halved one (at most 50 halvings) may
+    not, so a direction that only lowers it cannot creep on that slack.
+    Converged at |g| / n_terms <= tol (a raw sum of n_terms terms sits at
+    roundoff long before that for large n); a step no halving keeps, or one
+    below 1e-15 max(1, |theta|), stops the iteration unconverged."""
+    theta, it, converged = theta0, 0, False
+    merit, g, J = start
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if np.linalg.norm(g) / n_terms <= tol:
+            converged = True
+            break
+        try:
+            step = np.linalg.solve(np.atleast_2d(J), -np.atleast_1d(g))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{label}: singular Newton system: {exc}") from exc
+        step = step.reshape(np.shape(theta))
+        scale, slack = 1.0, 1e-12 * max(1.0, abs(merit))
+        for _ in range(51):
+            cand = evaluate(theta + scale * step)
+            if cand[0] >= merit - slack:
+                break
+            scale, slack = 0.5 * scale, 0.0
+        else:
+            break
+        if np.linalg.norm(scale * step) <= 1e-15 * max(1.0, np.linalg.norm(theta)):
+            break
+        theta = theta + scale * step
+        merit, g, J = cand
+    return theta, it, converged, g

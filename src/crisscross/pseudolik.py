@@ -39,10 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, DomainError, NumericalError, SeparationError
-from .model import ObservedDataset
+from .model import ObservedDataset, newton
 
 SCORE_TOL = 1e-8
-MAX_ITER = 100
 _BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
 _CACHED_CONTRASTS = 3e7  # groupwise fits regenerate contrasts above this count
 _LOG2 = math.log(2.0)
@@ -189,37 +188,6 @@ def _pass(xc, yc, theta, ws, ties=0, signs=False, rows=False) -> _PairSums:
     return _PairSums(loglik, score, -sum_h, n_pos, n_neg, triples)
 
 
-def _newton(evaluate, start, n_terms, label):
-    """Damped Newton ascent from theta = 0 with start = evaluate(0) =
-    (objective, score, Hessian); returns (theta, iterations, converged).
-    Stops at |score| / n_terms <= SCORE_TOL (the raw sum sits at roundoff
-    long before that for large n).  An accepted candidate's evaluation
-    supplies the next score and Hessian."""
-    theta, it, converged = 0.0, 0, False
-    obj, score, hess = start
-    for it in range(1, MAX_ITER + 1):
-        if abs(score) / n_terms <= SCORE_TOL:
-            converged = True
-            break
-        if hess >= 0:
-            raise NumericalError(f"{label} Hessian not negative definite")
-        step = -score / hess
-        scale = 1.0
-        for _ in range(50):
-            obj_new, score_new, hess_new = evaluate(theta + scale * step)
-            if obj_new >= obj - 1e-12 * max(1.0, abs(obj)):
-                break
-            scale *= 0.5
-        else:       # halvings exhausted: the next theta is not yet evaluated
-            _, score_new, hess_new = evaluate(theta + scale * step)
-        if abs(scale * step) <= 1e-15 * max(1.0, abs(theta)):
-            break
-        theta += scale * step
-        obj = max(obj, obj_new)
-        score, hess = score_new, hess_new
-    return theta, it, converged
-
-
 def fit_pairwise(design: PairDesign) -> PseudoLikResult:
     """Newton maximization of the pairwise objective (the logistic
     log-likelihood over untied pairs) from theta = 0; the theta = 0 pass
@@ -233,9 +201,10 @@ def fit_pairwise(design: PairDesign) -> PseudoLikResult:
         direction = 1 if start.n_neg == 0 else -1
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
-    theta, it, converged = _newton(lambda t: _pass(xc, yc, t, ws, ties)[:3], start[:3],
-                                   n * (n - 1) // 2 - ties, "pairwise")
-    return PseudoLikResult(theta_hat=theta, n_complete=n, n_total=design.n_total,
+    theta, it, converged, _ = newton(lambda t: _pass(xc, yc, t, ws, ties)[:3], 0.0,
+                                     start[:3], n * (n - 1) // 2 - ties, SCORE_TOL,
+                                     "pairwise")
+    return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
                            iterations=it, converged=converged,
                            ties_dropped=design.ties_dropped)
 
@@ -326,9 +295,9 @@ def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
     else:
         delta_blocks = lambda: _group_deltas(xc, yc, group_size)
     start = _groupwise_score_hess(delta_blocks, 0.0)
-    theta, it, converged = _newton(lambda t: _groupwise_score_hess(delta_blocks, t)[:3],
-                                   start[:3], start[3], "groupwise")
-    return PseudoLikResult(theta_hat=theta, n_complete=n,
+    theta, it, converged, _ = newton(lambda t: _groupwise_score_hess(delta_blocks, t)[:3],
+                                     0.0, start[:3], start[3], SCORE_TOL, "groupwise")
+    return PseudoLikResult(theta_hat=float(theta), n_complete=n,
                            n_total=data.n_total, iterations=it,
                            converged=converged, group_size=group_size)
 

@@ -18,6 +18,7 @@ mechanism's dependencies (R_x reads Y, R_y reads X).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,6 +87,24 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_total <= 0:
             raise DomainError("n_total must be positive")
+        check_rows_fit(self.n_total, "n_total")
+
+
+# bytes a simulated row holds: observed and complete x and y as float64,
+# r_x and r_y as int8
+_ROW_BYTES = 4 * 8 + 2
+
+
+def check_rows_fit(rows: int, what: str) -> None:
+    """Raise DomainError, before any array is allocated, when ``rows``
+    simulated rows cannot fit in physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):     # no sysconf: no bound
+        return
+    if rows * _ROW_BYTES > memory:
+        raise DomainError(f"{what}: {rows} rows of {_ROW_BYTES} bytes do not fit in "
+                          f"the {memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)

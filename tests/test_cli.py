@@ -297,3 +297,26 @@ def test_exit_code_3_on_non_ascii_bytes(tmp_path, capsys):
 def test_exit_code_2_on_invalid_option_value(argv, dataset_csv, capsys):
     argv = [str(dataset_csv) if a == "DATA" else a for a in argv]
     assert _run_without_traceback(argv, capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "DATA", "--method", "pseudolik", "--seed", "1"],
+    ["estimate", "DATA", "--method", "pseudolik", "--config", "missing.json"],
+    ["verify-counterexample", "--seed", "1"],
+    ["verify-counterexample", "--config", "missing.json"],
+    ["bootstrap", "DATA", "--method", "pseudolik", "--config", "missing.json"],
+], ids=["estimate-seed", "estimate-config", "counterexample-seed",
+        "counterexample-config", "bootstrap-config"])
+def test_a_flag_the_command_never_reads_is_a_usage_error(argv, dataset_csv, capsys):
+    argv = [str(dataset_csv) if a == "DATA" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def test_sample_size_beyond_physical_memory_exits_2(tmp_path, capsys):
+    assert _run_without_traceback(["simulate", "--n", str(10 ** 12)], capsys) == 2
+    path = tmp_path / "config.json"
+    path.write_text('{"sweep": "sample_size", "values": [1e300]}')
+    assert _run_without_traceback(["experiment", "--config", str(path)], capsys) == 2

@@ -141,8 +141,6 @@ EXPERIMENT_CONFIGS = tuple(
 JSON_JUNK = (None, True, 0, -1, 1, 2.5, -0.5, 0.999999, math.nan, math.inf,
              "", "abc", "truth", "rho", "normal", [], [0.5], [0.0, 1.0], {},
              {"rho": 2.0})
-# An experiment draws every sample it is given, so its junk holds no large
-# number: a sample size of 1e9 would allocate gigabytes before failing.
 HUGE = (1e300, -1e300, 10 ** 12)
 
 
@@ -176,7 +174,7 @@ def near_valid_config(draw, valid, junk):
        identify=st.sampled_from(IDENTIFY_CONFIGS).flatmap(
            lambda valid: near_valid_config(valid, JSON_JUNK + HUGE)),
        experiment=st.sampled_from(EXPERIMENT_CONFIGS).flatmap(
-           lambda valid: near_valid_config(valid, JSON_JUNK)))
+           lambda valid: near_valid_config(valid, JSON_JUNK + HUGE)))
 def test_any_config_file_exits_with_a_documented_code(work, simulate, identify,
                                                       experiment):
     path = work / "config.json"

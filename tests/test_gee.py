@@ -301,6 +301,33 @@ def test_solve_evaluates_the_weight_once_per_fit(optimal, theta, cov):
                           cc.sandwich_gee(data, model, pi, f, res.theta_hat)[2])
 
 
+class WrongSignA(cc.NormalLinear):
+    """dh/dtheta with the wrong sign: every Newton step points uphill in
+    the residual norm."""
+
+    def a(self, y, theta):
+        return -super().a(y, theta)
+
+
+def test_solve_stops_when_no_step_lowers_the_residual(monkeypatch):
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               2000, seed=31)
+    data = cc.simulate_dataset(config).observed
+    pi = cc.fit_propensity(data)
+    calls = []
+    residual = cc.gee._residual
+    monkeypatch.setattr(cc.gee, "_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    res = cc.solve_gee(data, WrongSignA(), pi, cc.NonOptimalF())
+    assert not res.converged and res.sandwich_cov is None
+    assert res.iterations == 1
+    # the start, then the full step and its 50 halvings: theta never moved
+    assert len(calls) == 1 + 51
+    assert np.array_equal(res.theta_hat, np.zeros(2))
+    assert res.residual_norm == np.linalg.norm(cc.gee_residual(
+        data, cc.NormalLinear(), pi, cc.NonOptimalF(), np.zeros(2)))
+
+
 # ------------------------------------------------------------------ #
 # binary 2x2 workflow
 # ------------------------------------------------------------------ #

@@ -45,8 +45,8 @@ def test_no_unused_module_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def private_definitions(source: str) -> dict:
-    """Module-level ``_name`` functions, classes and assignments -> line."""
+def module_definitions(source: str) -> dict:
+    """Module-level functions, classes and assigned names -> line."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -57,8 +57,19 @@ def private_definitions(source: str) -> dict:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         found[name.id] = node.lineno
-    return {name: line for name, line in found.items()
+    return found
+
+
+def private_definitions(source: str) -> dict:
+    """Module-level ``_name`` functions, classes and assignments -> line."""
+    return {name: line for name, line in module_definitions(source).items()
             if name.startswith("_") and not name.startswith("__")}
+
+
+def constant_definitions(source: str) -> dict:
+    """Module-level public UPPER_CASE names -> line."""
+    return {name: line for name, line in module_definitions(source).items()
+            if name.isupper() and not name.startswith("_")}
 
 
 def read_names(source: str) -> set:
@@ -74,22 +85,46 @@ def read_names(source: str) -> set:
     return names
 
 
+def names_read_from(source: str, module: str) -> set:
+    """Names ``source`` may read from the package module ``module``: every
+    attribute, and the names it imports from that module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_private_checker_flags_only_unread_definitions():
     source = ("_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = 3\n"
               "def _f():\n    return _A\nclass _C:\n    pass\n_D = _C\n")
     defined = private_definitions(source)
     assert defined == {"_A": 1, "_B": 2, "_f": 5, "_C": 7, "_D": 9}
     assert sorted(set(defined) - read_names(source)) == ["_B", "_D", "_f"]
+    assert constant_definitions(source + "A, _E = 1, 2\n") == {"PUBLIC": 4, "A": 10}
+    other = "from .mod import A\nfrom crisscross.other import B\nx = m.C + D\n"
+    assert names_read_from(other, "mod") == {"A", "C"}
 
 
 def test_every_private_definition_is_read():
+    """Every private name a module defines is read somewhere in the package,
+    and every UPPER_CASE constant in its own module, as an attribute, or
+    through an import from its module (another module's constant of the same
+    name does not count)."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     read = set().union(*(read_names(source) for source in sources.values()))
     unread = {}
     for name, source in sources.items():
+        module = name.removesuffix(".py")
+        read_here = read_names(source).union(
+            *(names_read_from(other, module) for other in sources.values()))
         names = [f"line {line}: {n}" for n, line in private_definitions(source).items()
                  if n not in read]
+        names += [f"line {line}: {n}" for n, line in constant_definitions(source).items()
+                  if n not in read_here]
         if names:
             unread[name] = names
     assert unread == {}
@@ -217,11 +252,16 @@ def data_csv(tmp_path_factory):
     (["bootstrap", "DATA", "--method", "pseudolik", "--resamples", "3"],
      _DATA | {"crisscross.pseudolik", "crisscross.experiments"}),
     (["estimate", "DATA", "--method", "gee"], _DATA | {"crisscross.gee", "crisscross.glm"}),
+    (["estimate", "DATA", "--method", "gee", "--f", "optimal", "--sigma2", "8.19"],
+     _DATA | {"crisscross.gee", "crisscross.glm"}),
+    (["bootstrap", "DATA", "--method", "gee", "--resamples", "3"],
+     _DATA | {"crisscross.gee", "crisscross.glm", "crisscross.experiments"}),
     (["identify", "--case", "bivariate_normal"],
      _CLI | {"crisscross.identify", "crisscross.model", "crisscross.families"}),
     (["verify-counterexample"], _CLI | {"crisscross.counterexample"}),
 ], ids=["import", "estimate-pseudolik", "estimate-g3", "bootstrap-pseudolik",
-        "estimate-gee", "identify", "verify-counterexample"])
+        "estimate-gee", "estimate-gee-optimal", "bootstrap-gee", "identify",
+        "verify-counterexample"])
 def test_each_command_loads_only_its_layers(argv, modules, data_csv):
     argv = [str(data_csv) if a == "DATA" else a for a in argv]
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,

@@ -325,7 +325,7 @@ def oracle_fit(data):
     if np.all(u[informative] == (v[informative] < 0)):
         raise cc.SeparationError("-", direction=-1)
     theta, obj = 0.0, pair_loglik(u, v, 0.0)
-    for _ in range(cc.pseudolik.MAX_ITER):
+    for _ in range(cc.model.NEWTON_MAX_ITER):
         p = cc.expit(theta * v)
         score = float(np.sum(v * (u - p)))
         if abs(score) / len(u) <= cc.pseudolik.SCORE_TOL:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,30 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.y[back.r_y == 1], obs.y[obs.r_y == 1])
     assert np.array_equal(back.x[back.r_x == 1], obs.x[obs.r_x == 1])
     assert b"\r" not in path.read_bytes()
+
+
+def test_save_report_writes_numpy_scalars_as_json(tmp_path):
+    # a propensity fit that stops unconverged flags separation as np.bool_
+    path = tmp_path / "r.json"
+    cc.save_report({"separation": np.bool_(False), "n": np.int64(3),
+                    "x": np.float64(0.5), "v": np.arange(2)}, path)
+    assert json.loads(path.read_text()) == {"separation": False, "n": 3, "x": 0.5,
+                                            "v": [0, 1]}
+
+
+@pytest.mark.parametrize("n_total", [10 ** 12, int(1e300)], ids=["1e12", "1e300"])
+def test_sample_size_beyond_physical_memory_is_a_domain_error(n_total):
+    with pytest.raises(cc.DomainError, match="physical memory"):
+        cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, n_total, 0)
+    with pytest.raises(cc.DomainError, match="physical memory"):
+        cc.ExperimentConfig(sweep="sample_size", values=(n_total,), replicates=2)
+
+
+def test_experiment_bounds_the_replicates_it_holds_at_once():
+    cc.ExperimentConfig(sweep="rho", values=(0.3,), replicates=2, n_total=40)
+    with pytest.raises(cc.DomainError, match="replicates x sample size"):
+        cc.ExperimentConfig(sweep="rho", values=(0.3,), replicates=10 ** 12,
+                            n_total=40)
 
 
 def test_binary_uniform_cells():
