@@ -306,7 +306,7 @@ def _cmd_estimate(args):
                             "group_size": res.group_size,
                             "iterations": res.iterations,
                             "converged": res.converged})
-            payload["or_unit_contrast"] = {"point": float(np.exp(res.theta_hat))}
+            payload["or_unit_contrast"] = {"point": or_from_theta(res.theta_hat, 0.0)[0]}
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary estimation needs --theta11")

@@ -44,12 +44,16 @@ def numerical_rank(matrix: np.ndarray) -> int:
     m = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_REL_TOL * s[0]))
+    return _rank(_singular_values(m))
+
+
+def _singular_values(m):
+    """Singular values of m in descending order (none when m is empty)."""
+    return np.linalg.svd(m, compute_uv=False) if m.size else np.array([])
+
+
+def _rank(s):
+    return int(np.sum(s > RANK_REL_TOL * s[0])) if s.size and s[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,26 @@ class JacobianReport:
         return self.n_equations >= self.dim_theta
 
 
-def _report(j, names):
-    j = np.asarray(j, dtype=float)
-    s = np.linalg.svd(j, compute_uv=False) if j.size else np.array([])
-    rank = numerical_rank(j)
+def _report(jacobian: Callable, names):
+    """The report on the matrix jacobian() returns.  Every Jacobian builder
+    goes through here: an entry or singular value that overflows, in numpy
+    or in Python float arithmetic (OverflowError, ZeroDivisionError), as it
+    does for a support point or parameter near the float range, raises
+    NumericalError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            j = np.asarray(jacobian(), dtype=float)
+    except (OverflowError, ZeroDivisionError):
+        j = np.array([[np.inf]])
+    s = _singular_values(j) if np.all(np.isfinite(j)) else np.array([np.inf])
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("the Jacobian is not finite at these support points "
+                             "and parameters")
+    rank = _rank(s)
     return JacobianReport(
         j_matrix=j,
         param_names=tuple(names),
-        singular_values=np.sort(s)[::-1],
+        singular_values=s,
         numerical_rank=rank,
         full_rank=rank == j.shape[1],
         n_equations=j.shape[0],
@@ -284,16 +300,7 @@ def build_jacobian(spec: ExpFamilySpec, params: TargetLawParams,
     Raises NumericalError when an entry overflows, as it does for a support
     point or parameter near the float range."""
     stack = equation_stack(spec, params, support_points)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            j = stack.jacobian(stack.theta0)
-        finite = bool(np.all(np.isfinite(j)))
-    except OverflowError:           # Python float arithmetic in the link tables
-        finite = False
-    if not finite:
-        raise NumericalError("the Jacobian is not finite at these support points "
-                             "and parameters")
-    return _report(j, stack.param_names)
+    return _report(lambda: stack.jacobian(stack.theta0), stack.param_names)
 
 
 # --------------------------------------------------------------------- #
@@ -314,7 +321,7 @@ def sufficient_knowledge_search(report: JacobianReport, max_set_size: int
     names = list(report.param_names)
     index = {n: i for i, n in enumerate(names)}
     found: list[tuple] = []
-    for size in range(0, max_set_size + 1):
+    for size in range(min(max_set_size, len(names)) + 1):
         for combo in itertools.combinations(sorted(names), size):
             if any(set(f) <= set(combo) for f in found):
                 continue
@@ -401,12 +408,11 @@ def _bivariate_jacobian(theta: dict, support=None) -> JacobianReport:
     mu1, s1, s2, rho = theta["mu1"], theta["sigma1"], theta["sigma2"], theta["rho"]
     if not (s1 > 0 and s2 > 0 and abs(rho) < 1):
         raise DomainError("need sigma1, sigma2 > 0 and |rho| < 1")
-    j = np.array([
+    return _report(lambda: [
         [-rho * s2 / s1, 1.0, rho * s2 * mu1 / s1 ** 2, -rho * mu1 / s1, -s2 * mu1 / s1],
         [0.0, 0.0, -rho * s2 * mu1 / s1 ** 2, rho / s1, s2 / s1],
         [0.0, 0.0, 0.0, 2.0 * (1.0 - rho ** 2) * s2, -2.0 * rho * s2 ** 2],
-    ])
-    return _report(j, ("mu1", "mu2", "sigma1", "sigma2", "rho"))
+    ], ("mu1", "mu2", "sigma1", "sigma2", "rho"))
 
 
 def _binary_jacobian(theta: dict, support=None) -> JacobianReport:
@@ -422,11 +428,10 @@ def _binary_jacobian(theta: dict, support=None) -> JacobianReport:
         raise DomainError("need a and a+b inside (0, 1)")
     fp = lambda m: 1.0 / (m * (1.0 - m))
     zp = lambda m: 1.0 / (1.0 - m)
-    j = np.array([
+    return _report(lambda: [
         [fp(a + b) - fp(a), fp(a + b), 0.0],
         [-(zp(a + b) - zp(a)), -zp(a + b), 1.0],
-    ])
-    return _report(j, ("a", "b", "eta_x"))
+    ], ("a", "b", "eta_x"))
 
 
 def _generic_case(spec: ExpFamilySpec, to_params: Callable, rename: dict):

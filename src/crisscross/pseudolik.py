@@ -140,12 +140,10 @@ class _PairSums(NamedTuple):
     loglik: float       # -sum softplus(-theta d), + log 2 per tied pair
     score: float        # sum d sigma
     hess: float         # -sum d^2 sigma (1 - sigma)
-    n_pos: int          # pairs with d > 0 / d < 0 (signs=True)
-    n_neg: int
     triples: float      # sum_{i, k != l} zeta_ik zeta_il (rows=True)
 
 
-def _pass(xc, yc, theta, ws, ties=0, signs=False, rows=False) -> _PairSums:
+def _pass(xc, yc, theta, ws, ties=0, rows=False) -> _PairSums:
     """One kernel pass at theta in the workspace ws.  With a = |theta|,
     s = sign(theta), e = exp(-a |d|) and q = 1 / (1 + e): softplus(-theta d)
     = max(-theta d, 0) + log1p(e), d sigma = (d + s |d|) / 2 - s |d| q and
@@ -153,15 +151,12 @@ def _pass(xc, yc, theta, ws, ties=0, signs=False, rows=False) -> _PairSums:
     n = len(xc)
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
     sum_d = sum_ad = sum_log = sum_r = sum_h = zeta_sq = 0.0
-    cells = n_pos = n_neg = 0
+    cells = 0
     zeta_rows = np.zeros(n) if rows else None
     # r first holds the y differences and log1p(e), so a pass without row
     # sums keeps four block arrays in cache, not six
     for r0, (d, r, ad, e, zeta, tmp) in _blocks(xc, yc, ws):
         cells += d.size
-        if signs:
-            n_pos += int(np.count_nonzero(d > 0))
-            n_neg += int(np.count_nonzero(d < 0))
         np.abs(d, out=ad)
         sum_d += float(d.sum())
         sum_ad += float(ad.sum())
@@ -185,28 +180,13 @@ def _pass(xc, yc, theta, ws, ties=0, signs=False, rows=False) -> _PairSums:
     loglik = (theta * sum_d - a * sum_ad) / 2.0 - sum_log + padding * _LOG2
     score = (sum_d + s * sum_ad) / 2.0 - s * sum_r
     triples = float(np.sum(zeta_rows ** 2)) - 2.0 * zeta_sq if rows else 0.0
-    return _PairSums(loglik, score, -sum_h, n_pos, n_neg, triples)
+    return _PairSums(loglik, score, -sum_h, triples)
 
 
 def fit_pairwise(design: PairDesign) -> PseudoLikResult:
     """Newton maximization of the pairwise objective (the logistic
-    log-likelihood over untied pairs) from theta = 0; the theta = 0 pass
-    also checks for a zero covariate and for separation."""
-    xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
-    ws = _workspace(n)
-    start = _pass(xc, yc, 0.0, ws, ties, signs=True)
-    if start.n_pos + start.n_neg == 0:
-        raise DomainError("pair covariate v is identically zero")
-    if start.n_neg == 0 or start.n_pos == 0:
-        direction = 1 if start.n_neg == 0 else -1
-        raise SeparationError("complete separation: estimate diverges to "
-                              f"{'+' if direction > 0 else '-'}inf", direction=direction)
-    theta, it, converged, _ = newton(lambda t: _pass(xc, yc, t, ws, ties)[:3], 0.0,
-                                     start[:3], n * (n - 1) // 2 - ties, SCORE_TOL,
-                                     "pairwise")
-    return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
-                           iterations=it, converged=converged,
-                           ties_dropped=design.ties_dropped)
+    log-likelihood over untied pairs) from theta = 0."""
+    return _fit(design, 2)
 
 
 def _index_blocks(n, group_size, chunk):
@@ -281,25 +261,52 @@ def _groupwise_score_hess(delta_blocks, theta):
 
 def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
     """Newton maximization of the groupwise objective from theta = 0
-    (g = 2 is the pairwise fit).  The permutation contrasts are kept when
-    they fit in memory and regenerated per evaluation otherwise."""
-    xc, yc = _group_cases(data, group_size)
-    if group_size == 2:
-        return fit_pairwise(build_pairs(data))
+    (g = 2 is the pairwise fit)."""
+    _group_cases(data, group_size)
+    design = build_pairs(data)
+    return fit_pairwise(design) if group_size == 2 else _fit(design, group_size)
 
-    n = len(xc)
-    total = math.comb(n, group_size) * math.factorial(group_size)
-    if total <= _CACHED_CONTRASTS:
-        cached = list(_group_deltas(xc, yc, group_size))
-        delta_blocks = lambda: cached
+
+def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
+    """Newton maximization from theta = 0 of the pairwise (g = 2) or the
+    groupwise objective.  Either has a finite maximizer iff some pair of
+    complete cases is concordant (d > 0) and some pair discordant (d < 0).
+    Over the distinct y values in increasing order, some pair is concordant
+    iff the largest x at some y value is above the smallest x at the one
+    before it: otherwise each y value's x range lies at or below the one
+    before, so no two y values make a concordant pair (likewise for
+    discordant pairs).  The groupwise permutation contrasts are kept when
+    they fit in memory and regenerated per evaluation otherwise."""
+    xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
+    order = np.argsort(yc)
+    ys, xs = yc[order], xc[order]
+    starts = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+    lo, hi = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+    concordant = bool(np.any(hi[1:] > lo[:-1]))
+    discordant = bool(np.any(lo[1:] < hi[:-1]))
+    if not (concordant or discordant):
+        raise DomainError("pair covariate v is identically zero")
+    if not (concordant and discordant):
+        direction = 1 if concordant else -1
+        raise SeparationError("complete separation: estimate diverges to "
+                              f"{'+' if direction > 0 else '-'}inf", direction=direction)
+    if group_size == 2:
+        ws = _workspace(n)
+        evaluate = lambda t: _pass(xc, yc, t, ws, ties)[:3]
+        n_terms = n * (n - 1) // 2 - ties
     else:
-        delta_blocks = lambda: _group_deltas(xc, yc, group_size)
-    start = _groupwise_score_hess(delta_blocks, 0.0)
-    theta, it, converged, _ = newton(lambda t: _groupwise_score_hess(delta_blocks, t)[:3],
-                                     0.0, start[:3], start[3], SCORE_TOL, "groupwise")
-    return PseudoLikResult(theta_hat=float(theta), n_complete=n,
-                           n_total=data.n_total, iterations=it,
-                           converged=converged, group_size=group_size)
+        n_terms = math.comb(n, group_size)
+        if n_terms * math.factorial(group_size) <= _CACHED_CONTRASTS:
+            cached = list(_group_deltas(xc, yc, group_size))
+            delta_blocks = lambda: cached
+        else:
+            delta_blocks = lambda: _group_deltas(xc, yc, group_size)
+        evaluate = lambda t: _groupwise_score_hess(delta_blocks, t)[:3]
+    theta, it, converged, _ = newton(evaluate, 0.0, evaluate(0.0), n_terms, SCORE_TOL,
+                                     "pairwise" if group_size == 2 else "groupwise")
+    return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
+                           iterations=it, converged=converged, group_size=group_size,
+                           ties_dropped=ties if group_size == 2 else None)
 
 
 def variance_ustat(data: ObservedDataset, theta_hat: float

@@ -126,6 +126,26 @@ def test_exit_code_4_on_numerical_failure(tmp_path):
     assert main(["estimate", str(sep), "--method", "pseudolik"]) == 4
 
 
+@pytest.mark.parametrize("group_size", ["2", "3", "4"])
+def test_separated_rows_exit_4_for_every_group_size(group_size, tmp_path, capsys):
+    # every pair is concordant or tied in y, so theta_hat diverges to +inf
+    path = tmp_path / "sep.csv"
+    cc.save_dataset(complete_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 2.0]), path)
+    argv = ["estimate", str(path), "--method", "pseudolik", "--group-size", group_size]
+    assert main(argv) == 4
+    assert "complete separation" in capsys.readouterr().err
+
+
+def test_groupwise_odds_ratio_that_overflows_exits_4(tmp_path, capsys):
+    # one discordant pair 1e-9 apart in x: theta_hat is finite but about 1e4
+    xs = [i * 1e-3 for i in range(12)] + [1.0, 1.0 + 1e-9]
+    ys = [float(i) for i in range(12)] + [100.0, 99.0]
+    path = tmp_path / "near_sep.csv"
+    cc.save_dataset(complete_dataset(xs, ys), path)
+    argv = ["estimate", str(path), "--method", "pseudolik", "--group-size", "3"]
+    assert _run_without_traceback(argv, capsys) == 4
+
+
 def test_csv_validation_messages(tmp_path):
     cases = {
         "1.5,2.0,1,1\n": None,                    # valid complete row

@@ -128,6 +128,9 @@ SIMULATE_CONFIG = {
 }
 IDENTIFY_CONFIGS = (
     {"case": "poisson_normal", "support_points": [0.0, 1.0, 2.0, 3.0]},
+    {"case": "bivariate_normal",
+     "theta": {"mu1": 2.0, "mu2": 0.4, "sigma1": 1.0, "sigma2": 3.0, "rho": 0.3}},
+    {"case": "binary", "theta": {"a": 0.3, "b": 0.2, "eta_x": 0.1}},
     {"family_x": "exponential", "family_y_given_x": "exponential",
      "theta": {"alpha": -1.0, "beta": [-0.5], "eta_x": [-1.0]},
      "support_points": [0.0, 1.0, 2.0, 3.0]},

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +111,35 @@ def test_overflowing_jacobian_is_numerical_error(support):
     theta = case.random_theta(np.random.default_rng(0))
     with pytest.raises(cc.NumericalError, match="not finite"):
         case.build(theta, support)
+
+
+@pytest.mark.parametrize("case, theta", [
+    ("bivariate_normal", dict(SECTION61_THETA, sigma1=1e300)),      # OverflowError
+    ("bivariate_normal", dict(SECTION61_THETA, sigma1=1e-300)),     # ZeroDivisionError
+    ("bivariate_normal", dict(SECTION61_THETA, sigma2=1e300)),      # OverflowError
+    ("bivariate_normal", dict(SECTION61_THETA, mu1=1e308, sigma1=0.5)),   # inf entry
+    ("bivariate_normal", dict(SECTION61_THETA, mu1=5.9e307)),       # inf singular value
+    ("binary", {"a": 5e-324, "b": 0.5, "eta_x": 0.1}),              # inf entry
+], ids=["sigma1-huge", "sigma1-tiny", "sigma2-huge", "mu1-huge", "svd-overflow",
+        "a-tiny"])
+def test_hand_written_jacobian_that_overflows_is_numerical_error(case, theta):
+    with pytest.raises(cc.NumericalError, match="not finite"):
+        case_study(case).build(theta, None)
+
+
+def test_knowledge_search_stops_at_the_parameter_count(monkeypatch):
+    report = case_study("binary").build({"a": 0.3, "b": 0.2, "eta_x": 0.1}, None)
+    want = cc.sufficient_knowledge_search(report, 3).sufficient_sets
+    sizes = []
+
+    def combinations(names, size):
+        assert size <= len(names), "searched subsets larger than the parameter set"
+        sizes.append(size)
+        return itertools.combinations(names, size)
+
+    monkeypatch.setattr(cc.identify, "itertools", SimpleNamespace(combinations=combinations))
+    assert cc.sufficient_knowledge_search(report, 10 ** 8).sufficient_sets == want
+    assert sizes == [0, 1, 2, 3]
 
 
 def test_support_points_must_be_distinct():

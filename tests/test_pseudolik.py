@@ -395,6 +395,35 @@ def test_kernel_errors_match_oracle(block, monkeypatch):
         assert type(got.value) is type(want.value)
         if direction is not None:
             assert got.value.direction == want.value.direction == direction
+        for g in (3, 4):
+            with pytest.raises(err) as got_g:
+                cc.fit_groupwise(data, g)
+            assert type(got_g.value) is type(want.value)
+            assert str(got_g.value) == str(got.value)
+            if direction is not None:
+                assert got_g.value.direction == direction
+
+
+def test_degenerate_data_check_matches_the_pair_signs():
+    # small draws with many ties in x and y, against the signs of every d_ik
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        x, y = rng.integers(-2, 3, size=(2, n)).astype(float)
+        d = np.subtract.outer(x, x) * np.subtract.outer(y, y)
+        pos, neg = bool(np.any(d > 0)), bool(np.any(d < 0))
+        if np.all(y == y[0]):
+            continue
+        design = cc.build_pairs(complete_dataset(x, y))
+        if pos and neg:
+            cc.fit_pairwise(design)
+            continue
+        with pytest.raises((cc.DomainError, cc.SeparationError)) as got:
+            cc.fit_pairwise(design)
+        if pos or neg:
+            assert got.value.direction == (1 if pos else -1)
+        else:
+            assert type(got.value) is cc.DomainError
 
 
 def test_one_workspace_per_fit(monkeypatch):
