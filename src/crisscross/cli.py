@@ -277,6 +277,15 @@ def _parse_known(spec: str | None) -> dict:
     return {name: number}
 
 
+def _converged(res):
+    """res, if the fit stopped at its maximizer: an estimate (and an SE)
+    anywhere else means nothing."""
+    if not res.converged:
+        raise NumericalError(f"pseudo-likelihood fit did not converge (theta = "
+                             f"{res.theta_hat:g} after {res.iterations} iterations)")
+    return res
+
+
 def _cmd_estimate(args):
     known = _parse_known(args.known)
     if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
@@ -288,7 +297,7 @@ def _cmd_estimate(args):
     if args.method == "pseudolik":
         if args.group_size == 2:
             from .pseudolik import fit_pairwise_with_variance
-            res = fit_pairwise_with_variance(data)
+            res = _converged(fit_pairwise_with_variance(data))
             payload.update({
                 "theta_hat": res.theta_hat, "se": res.se,
                 "a_hat": res.a_hat, "b_hat": res.b_hat,
@@ -301,7 +310,7 @@ def _cmd_estimate(args):
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
         else:
             from .pseudolik import fit_groupwise
-            res = fit_groupwise(data, args.group_size)
+            res = _converged(fit_groupwise(data, args.group_size))
             payload.update({"theta_hat": res.theta_hat,
                             "group_size": res.group_size,
                             "iterations": res.iterations,
@@ -402,7 +411,7 @@ def _cmd_bootstrap(args):
         from .pseudolik import build_pairs, fit_pairwise
 
         def fit(d):
-            theta = fit_pairwise(build_pairs(d)).theta_hat
+            theta = _converged(fit_pairwise(build_pairs(d))).theta_hat
             return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:

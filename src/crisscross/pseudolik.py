@@ -17,7 +17,10 @@ not by the n_c^2 pairs.  Each fit allocates the block temporaries once,
 as a workspace that every block of every pass writes into.  Groupwise
 variants replace pairs by index groups of size g in {2, 3, 4},
 normalizing each group by the sum over the g! permutations of its x
-values; g = 2 recovers the pairwise objective.
+values; g = 2 recovers the pairwise objective.  For g = 3 and 4 the
+contrasts S_P - S_id of a block of groups are one matmul of a fixed +-1
+matrix with the groups' outer products x_a y_b, stored permutation-major
+as (g! - 1, m): the identity's contrast is always 0, so it has no row.
 
 Asymptotics: with zeta_ik = d log(1 + Q_ik) / d theta = -d sigma,
 sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B average
@@ -44,6 +47,7 @@ from .model import ObservedDataset, newton
 SCORE_TOL = 1e-8
 _BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
 _CACHED_CONTRASTS = 3e7  # groupwise fits regenerate contrasts above this count
+                         # (g! - 1 per group)
 _LOG2 = math.log(2.0)
 
 
@@ -189,31 +193,50 @@ def fit_pairwise(design: PairDesign) -> PseudoLikResult:
     return _fit(design, 2)
 
 
-def _index_blocks(n, group_size, chunk):
-    """Yield (m, g) integer arrays covering all size-g index combinations."""
-    if group_size == 3:
-        for i in range(n - 2):
-            j, k = np.triu_indices(n - i - 1, 1)
-            idx = np.column_stack([np.full(j.size, i), j + i + 1, k + i + 1])
-            for start in range(0, len(idx), chunk):
-                yield idx[start:start + chunk]
-        return
-    combos = itertools.combinations(range(n), group_size)
-    while block := list(itertools.islice(combos, chunk)):
-        yield np.array(block)
+def _with_first(tail, n):
+    """Yield, for each first index i, the combinations (i, t) over the
+    columns t of tail (the k-combinations of range(n), lexicographic) drawn
+    from range(i + 1, n): tail's last C(n - i - 1, k) columns."""
+    k, count = tail.shape
+    for i in range(n - k):
+        cols = tail[:, count - math.comb(n - i - 1, k):]
+        yield np.vstack([np.full(cols.shape[1], i), cols])
+
+
+def _combinations(n, group_size, chunk):
+    """Yield (g, m) arrays, m = chunk but for the last, whose columns are
+    the size-g index combinations of range(n) in lexicographic order.  No
+    Python tuple is made per group; the (g - 1)-combinations, O(n^2) for
+    g = 3, are the only index array larger than a block."""
+    tail = np.arange(n)[None]
+    for _ in range(group_size - 2):
+        tail = np.hstack(list(_with_first(tail, n)))
+    pending, size = [], 0
+    for cols in _with_first(tail, n):
+        pending.append(cols)
+        size += cols.shape[1]
+        if size >= chunk:
+            cols = np.hstack(pending)
+            full = size - size % chunk
+            yield from (cols[:, start:start + chunk] for start in range(0, full, chunk))
+            pending, size = [cols[:, full:]], size - full
+    if size:
+        yield np.hstack(pending)
 
 
 def _group_deltas(xc, yc, group_size):
-    """Yield (m, g!) arrays of S_P - S_id over index combinations, at most
-    _BLOCK contrasts per array."""
-    perms = list(itertools.permutations(range(group_size)))
-    for idx in _index_blocks(len(xc), group_size, _BLOCK // len(perms)):
-        xg, yg = xc[idx], yc[idx]                   # (m, g)
-        s_id = np.sum(xg * yg, axis=1)
-        deltas = np.empty((len(idx), len(perms)))
-        for j, perm in enumerate(perms):
-            deltas[:, j] = np.sum(xg[:, perm] * yg, axis=1) - s_id
-        yield deltas
+    """Yield permutation-major (g! - 1, m) arrays of the contrasts
+    S_P - S_id over m index combinations, at most _BLOCK contrasts per
+    array.  Row k is permutation k + 1 of itertools.permutations; the
+    identity's contrast is always 0 and is not stored."""
+    g = group_size
+    eye = np.eye(g)
+    # row P maps the outer products x_a y_b, flattened to a g + b, to
+    # S_P - S_id = sum_b (x_P(b) - x_b) y_b
+    contrast = np.array([(eye[list(p)].T - eye).ravel()
+                         for p in itertools.permutations(range(g))][1:])
+    for idx in _combinations(len(xc), g, max(1, _BLOCK // len(contrast))):
+        yield contrast @ (xc[idx][:, None] * yc[idx][None]).reshape(g * g, -1)
 
 
 def _group_cases(data: ObservedDataset, group_size: int):
@@ -235,27 +258,32 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
 
 def _groupwise_score_hess(delta_blocks, theta):
     """(objective, score, Hessian, groups) at theta.  Per group, with
-    z = theta (S_P - S_id) and its row maximum top >= 0 (the identity
-    contrast is 0), log sum exp z = top + log sum exp(z - top), and the sum
-    is at least 1, so one exp per contrast cannot overflow.  The Hessian is
-    the weighted variance of the contrasts about their mean, which keeps its
-    digits when one permutation carries nearly all the weight."""
+    z = theta (S_P - S_id) over the stored contrasts and top = max(0, max z)
+    (the identity's z is 0), log sum exp z = top + log(exp(-top)
+    + sum exp(z - top)), and the sum is at least 1, so no exp can overflow.
+    The Hessian is the weighted variance of the contrasts about their mean,
+    the identity adding its weight times mean^2, which keeps its digits
+    when one permutation carries nearly all the weight."""
     obj = score = hess = 0.0
     n_groups = 0
     for deltas in delta_blocks():
         w = theta * deltas
-        top = w.max(axis=1)
-        w -= top[:, None]
+        top = np.maximum(w.max(axis=0), 0.0)
+        w -= top
         np.exp(w, out=w)
-        total = w.sum(axis=1)
-        w /= total[:, None]
-        mean_d = np.einsum("ij,ij->i", w, deltas)
-        dev = deltas - mean_d[:, None]
+        base = np.exp(-top)                         # the identity's term
+        total = w.sum(axis=0)
+        total += base
+        mean_d = np.einsum("km,km->m", w, deltas)
+        mean_d /= total
+        dev = deltas - mean_d
         dev *= dev
-        obj -= float(np.sum(top + np.log(total)))
+        spread = np.einsum("km,km->m", w, dev)
+        spread += base * mean_d * mean_d
+        obj -= float(np.sum(top)) + float(np.sum(np.log(total)))
         score -= float(np.sum(mean_d))
-        hess -= float(np.einsum("ij,ij->", w, dev))
-        n_groups += len(deltas)
+        hess -= float(np.sum(spread / total))
+        n_groups += deltas.shape[1]
     return obj, score, hess, n_groups
 
 
@@ -290,20 +318,25 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         direction = 1 if concordant else -1
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
+    g_err = 0.0
     if group_size == 2:
         ws = _workspace(n)
         evaluate = lambda t: _pass(xc, yc, t, ws, ties)[:3]
         n_terms = n * (n - 1) // 2 - ties
+        # the kernel's score is a difference of sums of |d|, so it rounds to
+        # within a few eps sum |d| <= pairs range(x) range(y); the groupwise
+        # score sums weighted means, with no such cancellation
+        g_err = 16 * np.finfo(float).eps * n_terms * float(np.ptp(xc)) * float(np.ptp(yc))
     else:
         n_terms = math.comb(n, group_size)
-        if n_terms * math.factorial(group_size) <= _CACHED_CONTRASTS:
+        if n_terms * (math.factorial(group_size) - 1) <= _CACHED_CONTRASTS:
             cached = list(_group_deltas(xc, yc, group_size))
             delta_blocks = lambda: cached
         else:
             delta_blocks = lambda: _group_deltas(xc, yc, group_size)
         evaluate = lambda t: _groupwise_score_hess(delta_blocks, t)[:3]
     theta, it, converged, _ = newton(evaluate, 0.0, evaluate(0.0), n_terms, SCORE_TOL,
-                                     "pairwise" if group_size == 2 else "groupwise")
+                                     "pairwise" if group_size == 2 else "groupwise", g_err)
     return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
                            iterations=it, converged=converged, group_size=group_size,
                            ties_dropped=ties if group_size == 2 else None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -21,6 +23,15 @@ def section61_large():
     return cc.simulate_dataset(config)
 
 
+# 12 concordant rows and one discordant pair 1e-9 apart in x: the maximizer
+# is finite, near theta = 1.7e4, where the pair kernel's score is all rounding
+NEAR_SEPARATED = ([i * 1e-3 for i in range(12)] + [1.0, 1.0 + 1e-9],
+                  [float(i) for i in range(12)] + [100.0, 99.0])
+# the one concordant pair has d = 1e-400, 0 in floats, so every kernel sees
+# separated data and theta runs off to -inf
+UNDERFLOWED = ([0.0, 1e-200, -1.0, 5.0], [0.0, 1e-200, 5.0, -1.0])
+
+
 def make_dataset(x, y, r_x, r_y):
     return cc.ObservedDataset(np.asarray(x, float), np.asarray(y, float),
                               np.asarray(r_x), np.asarray(r_y))
@@ -39,17 +50,27 @@ def pair_loglik(u, v, theta):
     return float(np.sum(u * lin - np.logaddexp(0.0, lin)))
 
 
-def groupwise_oracle(delta_blocks, theta):
+def groupwise_contrasts(xc, yc, group_size):
+    """(groups, g!) array of S_P - S_id, identity first, over
+    itertools.combinations x itertools.permutations (oracle)."""
+    perms = list(itertools.permutations(range(group_size)))
+    rows = []
+    for idx in itertools.combinations(range(len(xc)), group_size):
+        xg, yg = xc[list(idx)], yc[list(idx)]
+        s_id = float(np.sum(xg * yg))
+        rows.append([float(np.sum(xg[list(p)] * yg)) - s_id for p in perms])
+    return np.array(rows)
+
+
+def groupwise_oracle(xc, yc, group_size, theta):
     """Groupwise objective, score and Hessian through scipy's logsumexp
-    (oracle).  The Hessian is the weighted variance about the mean: the
-    uncentred E[d^2] - E[d]^2 loses up to 7 digits at theta = +-200."""
-    obj = score = hess = 0.0
-    for deltas in delta_blocks():
-        z = theta * deltas
-        lse = logsumexp(z, axis=1)
-        w = np.exp(z - lse[:, None])
-        mean_d = np.sum(w * deltas, axis=1)
-        obj -= float(np.sum(lse))
-        score -= float(np.sum(mean_d))
-        hess -= float(np.sum(w * (deltas - mean_d[:, None]) ** 2))
-    return obj, score, hess
+    over contrasts built here (oracle).  The Hessian is the weighted
+    variance about the mean: the uncentred E[d^2] - E[d]^2 loses up to 7
+    digits at theta = +-200."""
+    deltas = groupwise_contrasts(xc, yc, group_size)
+    z = theta * deltas
+    lse = logsumexp(z, axis=1)
+    w = np.exp(z - lse[:, None])
+    mean_d = np.sum(w * deltas, axis=1)
+    return (-float(np.sum(lse)), -float(np.sum(mean_d)),
+            -float(np.sum(w * (deltas - mean_d[:, None]) ** 2)))

@@ -6,7 +6,7 @@ import pytest
 import crisscross as cc
 from crisscross.cli import main
 
-from conftest import complete_dataset
+from conftest import NEAR_SEPARATED, UNDERFLOWED, complete_dataset
 
 
 @pytest.fixture()
@@ -340,3 +340,31 @@ def test_sample_size_beyond_physical_memory_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"sweep": "sample_size", "values": [1e300]}')
     assert _run_without_traceback(["experiment", "--config", str(path)], capsys) == 2
+
+
+@pytest.mark.parametrize("group_size", ["2", "3", "4"])
+@pytest.mark.parametrize("name", ["near_separated", "underflowed"])
+def test_fit_away_from_its_maximizer_exits_4(name, group_size, tmp_path, capsys):
+    # the groupwise fits of the near-separated rows converge, to a theta
+    # whose odds ratio overflows; every other fit ends unconverged
+    xs, ys = NEAR_SEPARATED if name == "near_separated" else UNDERFLOWED
+    path = tmp_path / f"{name}.csv"
+    cc.save_dataset(complete_dataset(xs, ys), path)
+    argv = ["estimate", str(path), "--method", "pseudolik", "--group-size", group_size]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    if name == "near_separated" and group_size != "2":
+        assert "odds ratio" in err
+    else:
+        assert "did not converge" in err
+
+
+def test_bootstrap_counts_an_unconverged_resample_fit_as_failed(tmp_path, capsys):
+    # every resample of the near-separated rows either is separated or has
+    # a pairwise fit that ends unconverged, so no resample succeeds
+    path = tmp_path / "near_separated.csv"
+    cc.save_dataset(complete_dataset(*NEAR_SEPARATED), path)
+    argv = ["bootstrap", str(path), "--method", "pseudolik", "--resamples", "20",
+            "--seed", "1"]
+    assert main(argv) == 3
+    assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err

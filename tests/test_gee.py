@@ -416,3 +416,21 @@ def test_binary_diverging_fit_raises():
                         [1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0])
     with pytest.raises(cc.NumericalError, match="underflow"):
         cc.estimate_binary_2x2(data, 0.4, cc.fit_propensity(data))
+
+
+@pytest.mark.parametrize("known", [{}, {"alpha": -1.4}])
+def test_linear_model_converges_after_one_step(known, monkeypatch):
+    # the residual is linear in theta: the first step lands on the root,
+    # where the pending step is rounding, so the start and that step are
+    # the only residual evaluations
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               2000, seed=31)
+    data = cc.simulate_dataset(config).observed
+    pi = cc.fit_propensity(data)
+    calls = []
+    residual = cc.gee._residual
+    monkeypatch.setattr(cc.gee, "_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    res = cc.solve_gee(data, cc.NormalLinear(known=known), pi, cc.NonOptimalF())
+    assert res.converged and res.iterations == 2 and len(calls) == 2
+    assert res.sandwich_cov is not None

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import crisscross as cc
 
-from conftest import complete_dataset, groupwise_oracle, make_dataset, pair_loglik
+from conftest import (NEAR_SEPARATED, UNDERFLOWED, complete_dataset, groupwise_contrasts,
+                      groupwise_oracle, make_dataset, pair_loglik)
 
 
 # ------------------------------------------------------------------ #
@@ -230,7 +231,72 @@ def test_groupwise_kernel_matches_logsumexp_oracle(group_size, n, theta):
         got = _groupwise_score_hess(blocks, theta)
     assert got[3] == math.comb(n, group_size)
     assert all(math.isfinite(v) for v in got[:3])
-    assert got[:3] == pytest.approx(groupwise_oracle(blocks, theta), rel=1e-12)
+    assert got[:3] == pytest.approx(groupwise_oracle(xc, yc, group_size, theta), rel=1e-12)
+
+
+def _pending_step(xc, yc, group_size, theta):
+    """-score / Hessian at theta, from per-pair expit terms (g = 2) or the
+    groupwise oracle."""
+    if group_size > 2:
+        _, score, hess = groupwise_oracle(xc, yc, group_size, theta)
+        return -score / hess
+    i, k = np.triu_indices(len(xc), 1)
+    d = (xc[i] - xc[k]) * (yc[i] - yc[k])
+    lo, hi = np.logaddexp(0.0, theta * d), np.logaddexp(0.0, -theta * d)
+    return np.sum(d * np.exp(-lo)) / np.sum(d * d * np.exp(-lo - hi))
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 4])
+def test_fit_is_converged_only_at_its_maximizer(group_size):
+    xc, yc = map(np.array, NEAR_SEPARATED)
+    res = cc.fit_groupwise(complete_dataset(xc, yc), group_size)
+    # the pair kernel cannot place the maximizer (its pending step is 0.4,
+    # its computed score 0); the groupwise kernels place it to 1e-6
+    assert res.converged == (group_size > 2)
+    step = _pending_step(xc, yc, group_size, res.theta_hat)
+    assert (abs(step) <= 1e-6 * res.theta_hat) == res.converged
+    res = cc.fit_groupwise(complete_dataset(*UNDERFLOWED), group_size)
+    assert not res.converged and res.theta_hat < -5.0
+
+
+@pytest.mark.parametrize("group_size", [2, 3, 4])
+def test_combinations_are_lexicographic(group_size):
+    from crisscross.pseudolik import _combinations
+    for n in range(group_size, 13):
+        want = list(itertools.combinations(range(n), group_size))
+        for chunk in (1, 5, len(want), 10 ** 6):
+            blocks = list(_combinations(n, group_size, chunk))
+            assert all(b.shape[1] == chunk for b in blocks[:-1])
+            assert 0 < blocks[-1].shape[1] <= chunk
+            assert list(map(tuple, np.hstack(blocks).T.tolist())) == want
+
+
+@pytest.mark.parametrize("group_size, n", [(3, 9), (4, 7)])
+def test_contrast_rows_are_the_permutation_contrasts(group_size, n, monkeypatch):
+    from crisscross.pseudolik import _group_deltas
+    monkeypatch.setattr(cc.pseudolik, "_BLOCK", 50)   # several blocks, a partial last
+    rng = np.random.default_rng(61)
+    xc, yc = rng.normal(size=(2, n))
+    got = np.hstack(list(_group_deltas(xc, yc, group_size)))
+    want = groupwise_contrasts(xc, yc, group_size)
+    assert got.shape == (math.factorial(group_size) - 1, math.comb(n, group_size))
+    assert np.allclose(got, want[:, 1:].T, rtol=0, atol=1e-14)
+    assert not want[:, 0].any()      # the identity, which is not stored
+
+
+@pytest.mark.parametrize("group_size, n, block", [(3, 30, 4000), (4, 16, 500)])
+def test_groupwise_fit_does_not_depend_on_the_block_size(group_size, n, block, monkeypatch):
+    # 4000 // 5 = 800 groups per block leaves 4060 = 5 * 800 + 60 (g = 3);
+    # 500 // 23 = 21 leaves 1820 = 86 * 21 + 14 (g = 4)
+    rng = np.random.default_rng(71 + group_size)
+    y = rng.normal(2, 1, n)
+    data = complete_dataset(-1.4 + 0.9 * y + rng.normal(0, 2.8, n), y)
+    default = cc.fit_groupwise(data, group_size)
+    monkeypatch.setattr(cc.pseudolik, "_BLOCK", block)
+    assert math.comb(n, group_size) % (block // (math.factorial(group_size) - 1)) != 0
+    small = cc.fit_groupwise(data, group_size)
+    assert default.converged and small.converged
+    assert small.theta_hat == pytest.approx(default.theta_hat, rel=1e-12)
 
 
 def test_groupwise_three_no_less_efficient_than_pairwise():
