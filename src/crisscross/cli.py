@@ -277,12 +277,13 @@ def _parse_known(spec: str | None) -> dict:
     return {name: number}
 
 
-def _converged(res):
-    """res, if the fit stopped at its maximizer: an estimate (and an SE)
-    anywhere else means nothing."""
+def _converged(res, label):
+    """res, if its fit (a pseudo-likelihood or GEE result) stopped at its
+    maximizer or root: an estimate (and an SE) anywhere else means nothing."""
     if not res.converged:
-        raise NumericalError(f"pseudo-likelihood fit did not converge (theta = "
-                             f"{res.theta_hat:g} after {res.iterations} iterations)")
+        theta = ", ".join(f"{t:g}" for t in np.atleast_1d(res.theta_hat))
+        raise NumericalError(f"{label} did not converge (theta = {theta} "
+                             f"after {res.iterations} iterations)")
     return res
 
 
@@ -297,7 +298,7 @@ def _cmd_estimate(args):
     if args.method == "pseudolik":
         if args.group_size == 2:
             from .pseudolik import fit_pairwise_with_variance
-            res = _converged(fit_pairwise_with_variance(data))
+            res = _converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
             payload.update({
                 "theta_hat": res.theta_hat, "se": res.se,
                 "a_hat": res.a_hat, "b_hat": res.b_hat,
@@ -310,7 +311,7 @@ def _cmd_estimate(args):
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
         else:
             from .pseudolik import fit_groupwise
-            res = _converged(fit_groupwise(data, args.group_size))
+            res = _converged(fit_groupwise(data, args.group_size), "pseudo-likelihood fit")
             payload.update({"theta_hat": res.theta_hat,
                             "group_size": res.group_size,
                             "iterations": res.iterations,
@@ -321,6 +322,7 @@ def _cmd_estimate(args):
             raise ConfigError("binary estimation needs --theta11")
         from .gee import estimate_binary_2x2, fit_propensity
         res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
+        _converged(res.gee, "GEE fit")
         payload.update({
             "theta11": res.theta11,
             "cells": {"theta12": res.cells[0], "theta21": res.cells[1],
@@ -335,13 +337,12 @@ def _cmd_estimate(args):
         if args.f == "optimal":
             if args.sigma2 is None:
                 raise ConfigError("optimal GEE needs --sigma2")
-            pilot_res = solve_gee(data, model, pi_model, NonOptimalF())
-            if not pilot_res.converged:
-                raise NumericalError("pilot (non-optimal) GEE did not converge")
+            pilot_res = _converged(solve_gee(data, model, pi_model, NonOptimalF()),
+                                   "pilot (non-optimal) GEE fit")
             weight = optimal_f(pi_model, pilot_res.theta_hat)
         else:
             weight = NonOptimalF()
-        res = solve_gee(data, model, pi_model, weight)
+        res = _converged(solve_gee(data, model, pi_model, weight), "GEE fit")
         payload.update({
             "estimates": dict(zip(res.param_names, res.theta_hat.tolist())),
             "residual_norm": res.residual_norm,
@@ -411,7 +412,7 @@ def _cmd_bootstrap(args):
         from .pseudolik import build_pairs, fit_pairwise
 
         def fit(d):
-            theta = _converged(fit_pairwise(build_pairs(d))).theta_hat
+            theta = _converged(fit_pairwise(build_pairs(d)), "pseudo-likelihood fit").theta_hat
             return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:
@@ -420,6 +421,7 @@ def _cmd_bootstrap(args):
 
         def fit(d):
             res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
+            _converged(res.gee, "GEE fit")
             return {"log_or": res.log_odds_ratio,
                     "theta12": res.cells[0], "theta21": res.cells[1],
                     "theta22": res.cells[2]}
@@ -427,7 +429,8 @@ def _cmd_bootstrap(args):
         from .gee import NonOptimalF, NormalLinear, fit_propensity, solve_gee
 
         def fit(d):
-            res = solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF())
+            res = _converged(solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF()),
+                             "GEE fit")
             return dict(zip(res.param_names, res.theta_hat.tolist()))
 
     boot = bootstrap(data, fit, args.resamples, args.seed)

@@ -342,8 +342,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
         return -np.linalg.norm(g), g, J
 
-    theta0 = model.theta0()
-    theta, it, converged, g = newton(evaluate, theta0, evaluate(theta0), 1, ROOT_TOL,
+    theta, it, converged, g = newton(evaluate, model.theta0(), 1, ROOT_TOL,
                                      "estimating equation")
     c_hat, d_hat, cov = (None, None, None)
     if converged:

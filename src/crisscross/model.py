@@ -222,24 +222,21 @@ def or_from_theta(theta_hat: float, theta_var: float, contrast: float = 1.0
     return point, se
 
 
-def newton(evaluate, theta0, start, n_terms: int, tol: float, label: str,
-           g_err: float = 0.0):
+def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
     """Damped Newton iteration toward a root of g from theta0, where
-    evaluate(theta) = (merit, g, J = dg/dtheta) and start = evaluate(theta0);
-    returns (theta, iterations, converged, g), theta scalar if theta0 is.
-    g_err bounds the rounding error of each g entry.
+    evaluate(theta) = (merit, g, J = dg/dtheta); returns (theta, iterations,
+    converged, g), theta scalar if theta0 is.
 
     A step solves J step = -g.  The full step may lower the merit by
     roundoff, 1e-12 max(1, |merit|); a halved one (at most 50 halvings) may
     not, so a direction that only lowers it cannot creep on that slack.
     Converged at |g| / n_terms <= tol (a raw sum of n_terms terms sits at
     roundoff long before that for large n) with a pending step of at most
-    1e-6 max(1, |theta|), even with g off by g_err: near separation the
-    score is tiny, or rounds to 0, long before theta stops moving.  A step
-    no halving keeps, or one below 1e-15 max(1, |theta|), stops the
-    iteration unconverged."""
+    1e-6 max(1, |theta|): near separation the score is tiny long before
+    theta stops moving.  A step no halving keeps, or one below
+    1e-15 max(1, |theta|), stops the iteration unconverged."""
     theta, it, converged = theta0, 0, False
-    merit, g, J = start
+    merit, g, J = evaluate(theta0)
     for it in range(1, NEWTON_MAX_ITER + 1):
         try:
             step = np.linalg.solve(np.atleast_2d(J), -np.atleast_1d(g))
@@ -247,11 +244,10 @@ def newton(evaluate, theta0, start, n_terms: int, tol: float, label: str,
             raise NumericalError(f"{label}: singular Newton system: {exc}") from exc
         step = step.reshape(np.shape(theta))
         size = np.linalg.norm(theta)
-        if np.linalg.norm(g) / n_terms <= tol:
-            rounding = g_err * np.linalg.norm(np.linalg.inv(np.atleast_2d(J))) if g_err else 0.0
-            if np.linalg.norm(step) + rounding <= 1e-6 * max(1.0, size):
-                converged = True
-                break
+        if (np.linalg.norm(g) / n_terms <= tol
+                and np.linalg.norm(step) <= 1e-6 * max(1.0, size)):
+            converged = True
+            break
         scale, slack = 1.0, 1e-12 * max(1.0, abs(merit))
         for _ in range(51):
             cand = evaluate(theta + scale * step)

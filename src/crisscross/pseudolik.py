@@ -10,8 +10,13 @@ Q_ik = exp(-theta (x_i - x_k)(y_i - y_k)); maximizing it is exactly an
 intercept-free logistic regression of u = 1{y_i - y_k > 0} on
 v = (x_i - x_k) |y_i - y_k|.  With d = (x_i - x_k)(y_i - y_k) and
 sigma = expit(-theta d), the objective is -sum softplus(-theta d), the
-score sum d sigma and the Hessian H = -sum d^2 sigma (1 - sigma).  One
-kernel pass gives all three, streaming the upper triangle of the d matrix
+score sum d sigma and the Hessian H = -sum d^2 sigma (1 - sigma).  Each
+pair's terms come from one identity: with a = |theta|, s = sign(theta),
+e = exp(-a |d|), r = |d| / (1 + e) and m = min(s d, 0),
+softplus(-theta d) = log1p(e) - a m, d sigma = s (r e + m) and
+d^2 sigma (1 - sigma) = r^2 e.  No term is a difference of sums of |d|,
+so the score keeps its digits near separation.  One kernel pass gives
+all three sums, streaming the upper triangle of the d matrix
 in row blocks of about ``_BLOCK`` cells: memory is bounded by a block,
 not by the n_c^2 pairs.  Each fit allocates the block temporaries once,
 as a workspace that every block of every pass writes into.  Groupwise
@@ -109,7 +114,7 @@ def build_pairs(data: ObservedDataset) -> PairDesign:
 
 
 def _workspace(n):
-    """(rows per block, lower-triangle mask of a full block, a buffer of six
+    """(rows per block, lower-triangle mask of a full block, a buffer of five
     rows of at least rows n cells for the block temporaries).  A fit makes
     one and every block of every pass writes into it, so a fit faults its
     block memory in once, not once per block."""
@@ -117,16 +122,16 @@ def _workspace(n):
     # each buffer row starts on a 64-byte cache line (np.empty aligns to 16
     # bytes only): a vector load that straddles two lines is slower
     width = -(-rows * n // 8) * 8
-    raw = np.empty(6 * width + 8)
+    raw = np.empty(5 * width + 8)
     start = -raw.ctypes.data % 64 // 8
-    return rows, np.tri(rows, dtype=bool), raw[start:start + 6 * width].reshape(6, width)
+    return rows, np.tri(rows, dtype=bool), raw[start:start + 5 * width].reshape(5, width)
 
 
 def _blocks(xc, yc, ws):
-    """Yield (r0, views): six (m, n - r0) views of the workspace buffer.
+    """Yield (r0, views): five (m, n - r0) views of the workspace buffer.
     The first is d[a, b] = d_ik for i = r0 + a, k = r0 + b, a block of rows
     by the columns from r0 on, zero on and below the diagonal; the other
-    five are scratch for the pass."""
+    four are scratch for the pass."""
     n = len(xc)
     rows, lower, buf = ws
     for r0 in range(0, n - 1, rows):
@@ -148,43 +153,41 @@ class _PairSums(NamedTuple):
 
 
 def _pass(xc, yc, theta, ws, ties=0, rows=False) -> _PairSums:
-    """One kernel pass at theta in the workspace ws.  With a = |theta|,
-    s = sign(theta), e = exp(-a |d|) and q = 1 / (1 + e): softplus(-theta d)
-    = max(-theta d, 0) + log1p(e), d sigma = (d + s |d|) / 2 - s |d| q and
-    sigma (1 - sigma) = e q^2, so sums of d and |d| carry the sign parts."""
+    """One kernel pass at theta in the workspace ws, by the module
+    docstring's per-cell identity.  The d block is clipped in place to
+    c = s m = min(d, 0) (max(d, 0) for theta < 0), so softplus(-theta d)
+    = log1p(e) - theta c and d sigma = s r e + c = -zeta."""
     n = len(xc)
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
-    sum_d = sum_ad = sum_log = sum_r = sum_h = zeta_sq = 0.0
+    clip = np.minimum if s > 0 else np.maximum
+    sum_c = sum_log = sum_re = sum_h = zeta_sq = 0.0
     cells = 0
     zeta_rows = np.zeros(n) if rows else None
-    # r first holds the y differences and log1p(e), so a pass without row
-    # sums keeps four block arrays in cache, not six
-    for r0, (d, r, ad, e, zeta, tmp) in _blocks(xc, yc, ws):
+    # r first holds the y differences and log1p(e), and c overwrites d, so a
+    # pass without row sums keeps four block arrays in cache, not five
+    for r0, (d, r, ad, e, zeta) in _blocks(xc, yc, ws):
         cells += d.size
         np.abs(d, out=ad)
-        sum_d += float(d.sum())
-        sum_ad += float(ad.sum())
+        c = clip(d, 0.0, out=d)
+        sum_c += float(c.sum())
         np.multiply(ad, -a, out=e)
         np.exp(e, out=e)
         sum_log += float(np.log1p(e, out=r).sum())
         np.add(e, 1.0, out=r)
-        np.divide(ad, r, out=r)                     # r = |d| q
-        sum_r += float(r.sum())
-        if rows:        # zeta = 0.5 ((2 s) r - s |d| - d)
-            np.multiply(r, 2.0 * s, out=zeta)
-            zeta -= np.multiply(ad, s, out=tmp)
-            zeta -= d
-            zeta *= 0.5
-            zeta_rows[r0:r0 + len(d)] += zeta.sum(axis=1)
+        np.divide(ad, r, out=r)                     # r = |d| / (1 + e)
+        re = np.multiply(r, e, out=e)
+        sum_re += float(re.sum())
+        if rows:        # zeta = -(s r e + c)
+            np.multiply(re, -s, out=zeta)
+            zeta -= c
+            zeta_rows[r0:r0 + len(c)] += zeta.sum(axis=1)
             zeta_rows[r0:] += zeta.sum(axis=0)
             zeta_sq += float(np.einsum("ij,ij->", zeta, zeta))
-        r *= r
-        sum_h += float(np.einsum("ij,ij->", r, e))
+        sum_h += float(np.einsum("ij,ij->", r, re))
     padding = cells - n * (n - 1) // 2 + ties     # d = 0 cells: log 2 each
-    loglik = (theta * sum_d - a * sum_ad) / 2.0 - sum_log + padding * _LOG2
-    score = (sum_d + s * sum_ad) / 2.0 - s * sum_r
+    loglik = theta * sum_c - sum_log + padding * _LOG2
     triples = float(np.sum(zeta_rows ** 2)) - 2.0 * zeta_sq if rows else 0.0
-    return _PairSums(loglik, score, -sum_h, triples)
+    return _PairSums(loglik, s * sum_re + sum_c, -sum_h, triples)
 
 
 def fit_pairwise(design: PairDesign) -> PseudoLikResult:
@@ -318,15 +321,10 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         direction = 1 if concordant else -1
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
-    g_err = 0.0
     if group_size == 2:
         ws = _workspace(n)
         evaluate = lambda t: _pass(xc, yc, t, ws, ties)[:3]
         n_terms = n * (n - 1) // 2 - ties
-        # the kernel's score is a difference of sums of |d|, so it rounds to
-        # within a few eps sum |d| <= pairs range(x) range(y); the groupwise
-        # score sums weighted means, with no such cancellation
-        g_err = 16 * np.finfo(float).eps * n_terms * float(np.ptp(xc)) * float(np.ptp(yc))
     else:
         n_terms = math.comb(n, group_size)
         if n_terms * (math.factorial(group_size) - 1) <= _CACHED_CONTRASTS:
@@ -335,8 +333,8 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         else:
             delta_blocks = lambda: _group_deltas(xc, yc, group_size)
         evaluate = lambda t: _groupwise_score_hess(delta_blocks, t)[:3]
-    theta, it, converged, _ = newton(evaluate, 0.0, evaluate(0.0), n_terms, SCORE_TOL,
-                                     "pairwise" if group_size == 2 else "groupwise", g_err)
+    theta, it, converged, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL,
+                                     "pairwise" if group_size == 2 else "groupwise")
     return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
                            iterations=it, converged=converged, group_size=group_size,
                            ties_dropped=ties if group_size == 2 else None)

@@ -24,7 +24,8 @@ def section61_large():
 
 
 # 12 concordant rows and one discordant pair 1e-9 apart in x: the maximizer
-# is finite, near theta = 1.7e4, where the pair kernel's score is all rounding
+# is finite, near theta = 1.7e4, where the score's 1e-9 pair terms cancel to
+# 1e-13 or less
 NEAR_SEPARATED = ([i * 1e-3 for i in range(12)] + [1.0, 1.0 + 1e-9],
                   [float(i) for i in range(12)] + [100.0, 99.0])
 # the one concordant pair has d = 1e-400, 0 in floats, so every kernel sees

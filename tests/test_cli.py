@@ -345,26 +345,62 @@ def test_sample_size_beyond_physical_memory_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("group_size", ["2", "3", "4"])
 @pytest.mark.parametrize("name", ["near_separated", "underflowed"])
 def test_fit_away_from_its_maximizer_exits_4(name, group_size, tmp_path, capsys):
-    # the groupwise fits of the near-separated rows converge, to a theta
-    # whose odds ratio overflows; every other fit ends unconverged
+    # the fits of the near-separated rows converge, to a theta whose odds
+    # ratio overflows; the underflowed rows' fits end unconverged
     xs, ys = NEAR_SEPARATED if name == "near_separated" else UNDERFLOWED
     path = tmp_path / f"{name}.csv"
     cc.save_dataset(complete_dataset(xs, ys), path)
     argv = ["estimate", str(path), "--method", "pseudolik", "--group-size", group_size]
     assert main(argv) == 4
     err = capsys.readouterr().err
-    if name == "near_separated" and group_size != "2":
+    if name == "near_separated":
         assert "odds ratio" in err
     else:
         assert "did not converge" in err
 
 
-def test_bootstrap_counts_an_unconverged_resample_fit_as_failed(tmp_path, capsys):
-    # every resample of the near-separated rows either is separated or has
-    # a pairwise fit that ends unconverged, so no resample succeeds
-    path = tmp_path / "near_separated.csv"
-    cc.save_dataset(complete_dataset(*NEAR_SEPARATED), path)
+def test_bootstrap_counts_an_unconverged_resample_fit_as_failed(tmp_path, capsys,
+                                                               monkeypatch):
+    # every resample of the underflowed rows either is separated or has a
+    # pairwise fit that ends unconverged, so no resample succeeds
+    import crisscross.pseudolik as pl
+    fits = []
+    fit = pl.fit_pairwise
+    monkeypatch.setattr(pl, "fit_pairwise", lambda design: fits.append(fit(design)) or fits[-1])
+    path = tmp_path / "underflowed.csv"
+    cc.save_dataset(complete_dataset(*UNDERFLOWED), path)
     argv = ["bootstrap", str(path), "--method", "pseudolik", "--resamples", "20",
             "--seed", "1"]
     assert main(argv) == 3
     assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err
+    assert fits and not any(res.converged for res in fits)
+
+
+# seven binary rows whose 2x2 estimating equation runs the free cells to the
+# boundary: the Newton iteration ends at its cap with log OR near -38.6
+UNCONVERGED_2X2 = "x,y,r_x,r_y\n1,2,1,1\n1,2,1,1\n2,1,1,1\n2,,1,0\n,1,0,1\n1,1,1,1\n2,1,1,1\n"
+
+
+def test_gee_fit_away_from_its_root_exits_4(tmp_path, capsys):
+    path = tmp_path / "unconverged.csv"
+    path.write_text(UNCONVERGED_2X2)
+    argv = ["estimate", str(path), "--method", "gee", "--binary", "--theta11", "0.25"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "GEE fit did not converge" in captured.err
+
+
+def test_bootstrap_counts_an_unconverged_gee_fit_as_failed(tmp_path, capsys, monkeypatch):
+    # 17 of these 20 resamples fail on their data; the other 3 end with an
+    # unconverged estimating equation, so no resample succeeds
+    import crisscross.gee as gee
+    fits = []
+    solve = gee.solve_gee
+    monkeypatch.setattr(gee, "solve_gee", lambda *a: fits.append(solve(*a)) or fits[-1])
+    path = tmp_path / "unconverged.csv"
+    path.write_text(UNCONVERGED_2X2)
+    argv = ["bootstrap", str(path), "--method", "gee", "--binary", "--theta11", "0.25",
+            "--resamples", "20", "--seed", "5"]
+    assert main(argv) == 3
+    assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err
+    assert any(not res.converged for res in fits)

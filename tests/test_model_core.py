@@ -182,29 +182,15 @@ def test_dataset_coarsening_enforced():
                            np.array([1]), np.array([1]))
 
 
-def _quadratic(calls):
-    """Merit -(5 - t)^2 / 2 scaled by 1e-12: its score 1e-12 (5 - t) passes
-    the score test everywhere near its maximizer t = 5."""
+def test_newton_keeps_iterating_while_a_step_is_pending():
+    # merit -(5 - t)^2 / 2 scaled by 1e-12: its score 1e-12 (5 - t) passes
+    # the score test everywhere near its maximizer t = 5
+    from crisscross.model import newton
+    calls = []
+
     def evaluate(t):
         calls.append(t)
         return -0.5e-12 * (5.0 - t) ** 2, 1e-12 * (5.0 - t), -1e-12
-    return evaluate
-
-
-def test_newton_keeps_iterating_while_a_step_is_pending():
-    from crisscross.model import newton
-    calls = []
-    evaluate = _quadratic(calls)
-    theta, it, converged, _ = newton(evaluate, 0.0, evaluate(0.0), 1, 1e-8, "test")
+    theta, it, converged, _ = newton(evaluate, 0.0, 1, 1e-8, "test")
     assert converged and it == 2 and calls == [0.0, theta]
     assert theta == pytest.approx(5.0, rel=1e-15)
-
-
-def test_newton_is_not_converged_where_rounding_could_hide_the_step():
-    # a score known only to within 1e-12 leaves a step of up to 1 unresolved
-    from crisscross.model import newton
-    calls = []
-    evaluate = _quadratic(calls)
-    theta, it, converged, _ = newton(evaluate, 0.0, evaluate(0.0), 1, 1e-8, "test",
-                                     g_err=1e-12)
-    assert not converged and theta == pytest.approx(5.0, rel=1e-15)

@@ -234,25 +234,46 @@ def test_groupwise_kernel_matches_logsumexp_oracle(group_size, n, theta):
     assert got[:3] == pytest.approx(groupwise_oracle(xc, yc, group_size, theta), rel=1e-12)
 
 
+def _pair_terms(xc, yc, theta):
+    """Per-pair -softplus(-theta d), d sigma and -d^2 sigma (1 - sigma) over
+    the untied pairs, each from np.logaddexp (oracle)."""
+    i, k = np.triu_indices(len(xc), 1)
+    d = (xc[i] - xc[k]) * (yc[i] - yc[k])
+    d = d[yc[i] != yc[k]]
+    lo, hi = np.logaddexp(0.0, theta * d), np.logaddexp(0.0, -theta * d)
+    return -hi, d * np.exp(-lo), -d * d * np.exp(-lo - hi)
+
+
 def _pending_step(xc, yc, group_size, theta):
     """-score / Hessian at theta, from per-pair expit terms (g = 2) or the
     groupwise oracle."""
     if group_size > 2:
         _, score, hess = groupwise_oracle(xc, yc, group_size, theta)
-        return -score / hess
-    i, k = np.triu_indices(len(xc), 1)
-    d = (xc[i] - xc[k]) * (yc[i] - yc[k])
-    lo, hi = np.logaddexp(0.0, theta * d), np.logaddexp(0.0, -theta * d)
-    return np.sum(d * np.exp(-lo)) / np.sum(d * d * np.exp(-lo - hi))
+    else:
+        _, score, hess = (np.sum(t) for t in _pair_terms(xc, yc, theta))
+    return -score / hess
+
+
+@pytest.mark.parametrize("theta", [16906.94, 16906.544])
+def test_pair_kernel_keeps_its_digits_near_separation(theta):
+    # the score's terms, of size 1e-9, cancel to 1e-13 or less: it may be
+    # off by 64 eps of their magnitudes' sum, the oracle's own rounding.
+    # The objective's d = 0 padding cells add and take back log 2 each
+    from crisscross.pseudolik import _pass, _workspace
+    xc, yc = map(np.array, NEAR_SEPARATED)
+    sums = _pass(xc, yc, theta, _workspace(len(xc)))
+    loglik, score, hess = _pair_terms(xc, yc, theta)
+    assert abs(sums.score - np.sum(score)) <= 64 * np.finfo(float).eps * np.sum(np.abs(score))
+    assert sums.loglik == pytest.approx(np.sum(loglik), rel=1e-12)
+    assert sums.hess == pytest.approx(np.sum(hess), rel=1e-12)
 
 
 @pytest.mark.parametrize("group_size", [2, 3, 4])
 def test_fit_is_converged_only_at_its_maximizer(group_size):
     xc, yc = map(np.array, NEAR_SEPARATED)
     res = cc.fit_groupwise(complete_dataset(xc, yc), group_size)
-    # the pair kernel cannot place the maximizer (its pending step is 0.4,
-    # its computed score 0); the groupwise kernels place it to 1e-6
-    assert res.converged == (group_size > 2)
+    # every kernel places the maximizer to 1e-6
+    assert res.converged
     step = _pending_step(xc, yc, group_size, res.theta_hat)
     assert (abs(step) <= 1e-6 * res.theta_hat) == res.converged
     res = cc.fit_groupwise(complete_dataset(*UNDERFLOWED), group_size)
@@ -507,14 +528,16 @@ def test_one_workspace_per_fit(monkeypatch):
 
 def test_section61_fit_is_pinned():
     # n_c = 2251 gives 29 rows per block and a last block of 18 rows; the
-    # values are the ones the kernel gave before it had a workspace
+    # values are the per-cell kernel's.  A long-double Newton root is
+    # 0.0959666651954621, 1.08e-11 relative above theta_hat: the stop
+    # tolerance, not rounding
     config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 4100, seed=7)
     data = cc.simulate_dataset(config).observed
     res = cc.fit_pairwise_with_variance(data)
     assert data.n_complete == 2251
-    assert res.theta_hat == 0.09596666519442335
-    assert res.a_hat == 3.9842138358491583
-    assert res.b_hat == 3.794594893538062
+    assert res.theta_hat == 0.09596666519442283
+    assert res.a_hat == 3.9842138358491703
+    assert res.b_hat == 3.7945948935380645
 
 
 def test_ties_counted_from_runs_of_equal_y():
