@@ -71,6 +71,19 @@ class AipwResult:
     n_total: int
 
 
+def _first_stage(data: ObservedDataset, h_c: np.ndarray, w: Callable,
+                 m_h: Callable) -> np.ndarray:
+    """phi = R_x / w(y) (h - m_h(y)) + m_h(y) on the rows with R_y = 1,
+    given h_c, the values of h at the complete cases; w is floored there."""
+    ym = data.r_y == 1
+    y = data.y[ym]
+    phi = np.array(m_h(y), dtype=float)
+    both = data.complete_mask[ym]
+    if np.any(both):
+        phi[both] += (h_c - phi[both]) / check_floor(w(y[both]), "w")
+    return phi
+
+
 def aipw_permutation(data: ObservedDataset, h_fn: Callable,
                      nuisance: PermutationNuisance) -> AipwResult:
     """Two-stage augmented estimator of E[h(X, Y)] plus the plain IPW one."""
@@ -90,16 +103,7 @@ def aipw_permutation(data: ObservedDataset, h_fn: Callable,
 
     # first-stage augmentation phi, defined wherever R_y = 1 needs it
     phi = np.zeros(n)
-    ym = data.r_y == 1
-    if np.any(ym):
-        m_h_y = np.asarray(nuisance.m_h(data.y[ym]), dtype=float)
-        phi_obs = m_h_y.copy()
-        both = cm[ym]
-        if np.any(both):
-            w_y = check_floor(nuisance.w(data.y[ym][both]), "w")
-            h_val = np.asarray(h_fn(data.x[ym][both], data.y[ym][both]), dtype=float)
-            phi_obs[both] += (h_val - m_h_y[both]) / w_y
-        phi[ym] = phi_obs
+    phi[data.r_y == 1] = _first_stage(data, h_c, nuisance.w, nuisance.m_h)
 
     m_phi = np.asarray(nuisance.m_phi(data.r_x, x_star), dtype=float)
     contrib = ry / pi_star * (phi - m_phi) + m_phi
@@ -142,15 +146,9 @@ def fit_permutation_nuisances(data: ObservedDataset, h_fn: Callable
         return mh_coef[0] + mh_coef[1] * np.asarray(y, dtype=float)
 
     # regression of phi on (1, r_x, x* r_x) among rows with y observed
-    phi_rows = np.zeros(int(ym.sum()))
-    m_h_y = m_h(data.y[ym])
-    both = cm[ym]
-    phi_rows[:] = m_h_y
-    if np.any(both):
-        phi_rows[both] += (h_c - m_h_y[both]) / w(data.y[ym][both])
     d_phi = np.column_stack([np.ones(int(ym.sum())), data.r_x[ym],
                              x_star[ym] * data.r_x[ym]])
-    mphi_coef, *_ = np.linalg.lstsq(d_phi, phi_rows, rcond=None)
+    mphi_coef, *_ = np.linalg.lstsq(d_phi, _first_stage(data, h_c, w, m_h), rcond=None)
 
     def m_phi(r, xs):
         r = np.asarray(r, dtype=float)

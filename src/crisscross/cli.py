@@ -277,28 +277,18 @@ def _parse_known(spec: str | None) -> dict:
     return {name: number}
 
 
-def _converged(res, label):
-    """res, if its fit (a pseudo-likelihood or GEE result) stopped at its
-    maximizer or root: an estimate (and an SE) anywhere else means nothing."""
-    if not res.converged:
-        theta = ", ".join(f"{t:g}" for t in np.atleast_1d(res.theta_hat))
-        raise NumericalError(f"{label} did not converge (theta = {theta} "
-                             f"after {res.iterations} iterations)")
-    return res
-
-
 def _cmd_estimate(args):
     known = _parse_known(args.known)
     if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
         raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
     from .dataio import load_dataset, save_report
-    from .model import or_from_theta
+    from .model import check_converged, or_from_theta
     data = load_dataset(args.data)
     payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
     if args.method == "pseudolik":
         if args.group_size == 2:
             from .pseudolik import fit_pairwise_with_variance
-            res = _converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
+            res = check_converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
             payload.update({
                 "theta_hat": res.theta_hat, "se": res.se,
                 "a_hat": res.a_hat, "b_hat": res.b_hat,
@@ -306,12 +296,11 @@ def _cmd_estimate(args):
                 "iterations": res.iterations, "converged": res.converged,
                 "ties_dropped": res.ties_dropped,
             })
-            or_point, or_se = or_from_theta(res.theta_hat,
-                                            res.sandwich_var / res.n_complete)
+            or_point, or_se = or_from_theta(res.theta_hat, res.se)
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
         else:
             from .pseudolik import fit_groupwise
-            res = _converged(fit_groupwise(data, args.group_size), "pseudo-likelihood fit")
+            res = check_converged(fit_groupwise(data, args.group_size), "pseudo-likelihood fit")
             payload.update({"theta_hat": res.theta_hat,
                             "group_size": res.group_size,
                             "iterations": res.iterations,
@@ -322,7 +311,7 @@ def _cmd_estimate(args):
             raise ConfigError("binary estimation needs --theta11")
         from .gee import estimate_binary_2x2, fit_propensity
         res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
-        _converged(res.gee, "GEE fit")
+        check_converged(res.gee, "GEE fit")
         payload.update({
             "theta11": res.theta11,
             "cells": {"theta12": res.cells[0], "theta21": res.cells[1],
@@ -331,18 +320,19 @@ def _cmd_estimate(args):
             "converged": res.gee.converged, "iterations": res.gee.iterations,
         })
     else:
-        from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
+        from .gee import (NonOptimalF, NormalLinear, fit_propensity, odds_ratio,
+                          optimal_f, solve_gee)
         model = NormalLinear(known=known, sigma2=args.sigma2)
         pi_model = fit_propensity(data)
         if args.f == "optimal":
             if args.sigma2 is None:
                 raise ConfigError("optimal GEE needs --sigma2")
-            pilot_res = _converged(solve_gee(data, model, pi_model, NonOptimalF()),
-                                   "pilot (non-optimal) GEE fit")
+            pilot_res = check_converged(solve_gee(data, model, pi_model, NonOptimalF()),
+                                        "pilot (non-optimal) GEE fit")
             weight = optimal_f(pi_model, pilot_res.theta_hat)
         else:
             weight = NonOptimalF()
-        res = _converged(solve_gee(data, model, pi_model, weight), "GEE fit")
+        res = check_converged(solve_gee(data, model, pi_model, weight), "GEE fit")
         payload.update({
             "estimates": dict(zip(res.param_names, res.theta_hat.tolist())),
             "residual_norm": res.residual_norm,
@@ -354,14 +344,9 @@ def _cmd_estimate(args):
         if res.sandwich_cov is not None:
             payload["se"] = dict(zip(res.param_names, res.se().tolist()))
             payload["sandwich_cov"] = res.sandwich_cov.tolist()
-        if args.sigma2 is not None and "beta" in payload["estimates"]:
-            theta = payload["estimates"]["beta"] / args.sigma2
-            se_b = payload.get("se", {}).get("beta", 0.0)
-            try:
-                or_point, or_se = or_from_theta(theta, (se_b / args.sigma2) ** 2)
-            except OverflowError:       # the squared SE ratio
-                raise NumericalError("odds-ratio SE overflows at this --sigma2") from None
-            payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
+        or_unit = None if args.sigma2 is None else odds_ratio(res, args.sigma2)
+        if or_unit is not None:
+            payload["or_unit_contrast"] = or_unit
     if args.out:
         save_report(payload, args.out)
     print(json.dumps(payload, indent=2, default=float))
@@ -407,12 +392,14 @@ def _cmd_counterexample(args):
 def _cmd_bootstrap(args):
     from .dataio import load_dataset, save_report
     from .experiments import bootstrap
+    from .model import check_converged
     data = load_dataset(args.data)
     if args.method == "pseudolik":
         from .pseudolik import build_pairs, fit_pairwise
 
         def fit(d):
-            theta = _converged(fit_pairwise(build_pairs(d)), "pseudo-likelihood fit").theta_hat
+            theta = check_converged(fit_pairwise(build_pairs(d)),
+                                    "pseudo-likelihood fit").theta_hat
             return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:
@@ -421,7 +408,7 @@ def _cmd_bootstrap(args):
 
         def fit(d):
             res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
-            _converged(res.gee, "GEE fit")
+            check_converged(res.gee, "GEE fit")
             return {"log_or": res.log_odds_ratio,
                     "theta12": res.cells[0], "theta21": res.cells[1],
                     "theta22": res.cells[2]}
@@ -429,8 +416,8 @@ def _cmd_bootstrap(args):
         from .gee import NonOptimalF, NormalLinear, fit_propensity, solve_gee
 
         def fit(d):
-            res = _converged(solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF()),
-                             "GEE fit")
+            res = check_converged(solve_gee(d, NormalLinear(), fit_propensity(d),
+                                            NonOptimalF()), "GEE fit")
             return dict(zip(res.param_names, res.theta_hat.tolist()))
 
     boot = bootstrap(data, fit, args.resamples, args.seed)

@@ -18,7 +18,8 @@ The optimal GEE takes its pilot coefficients from the medians of the
 non-optimal fits across the replicates of the same sweep point; in
 single-dataset use the caller passes a per-dataset pilot instead.
 
-Odds ratios are reported at unit pair contrast throughout.
+Odds ratios are reported at unit pair contrast throughout, and fits are
+judged as in the CLI, by ``model.check_converged`` and ``gee.odds_ratio``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, CrissCrossError, DataError
-from .model import ObservedDataset, or_from_theta
+from .model import ObservedDataset, check_converged, or_from_theta
 
 if TYPE_CHECKING:
     from .simulate import BivariateNormalTarget
@@ -176,18 +177,15 @@ class ReplicationSummary:
 
 def _simulate_replicate(point: SweepPoint, base_seed: int, r: int):
     from .simulate import ScenarioConfig, simulate_dataset
-    rng = np.random.default_rng(np.random.SeedSequence((base_seed, point.index, r)))
     config = ScenarioConfig(point.target, point.mechanism, point.n_total,
-                            seed=base_seed)
-    return simulate_dataset(config, rng=rng).observed
+                            seed=(base_seed, point.index, r))
+    return simulate_dataset(config).observed
 
 
 def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
     from .pseudolik import fit_pairwise_with_variance
-    res = fit_pairwise_with_variance(data)
-    if not res.converged:
-        raise DataError("pairwise fit did not converge")
-    or_point, or_se = or_from_theta(res.theta_hat, res.sandwich_var / res.n_complete)
+    res = check_converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
+    or_point, or_se = or_from_theta(res.theta_hat, res.se)
     est = {"theta": res.theta_hat, "or": or_point}
     ses = {"theta": res.se, "or": or_se}
     return est, ses
@@ -195,24 +193,21 @@ def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
 
 def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dict]:
     """GEE with the plain weight, or the optimal one when a pilot is given."""
-    from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
+    from .gee import (NonOptimalF, NormalLinear, fit_propensity, odds_ratio,
+                      optimal_f, solve_gee)
     model = NormalLinear(known=point.known, sigma2=point.sigma2)
     pi_model = fit_propensity(data)
     weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
-    res = solve_gee(data, model, pi_model, weight)
-    if not res.converged:
-        raise DataError("GEE did not converge")
+    res = check_converged(solve_gee(data, model, pi_model, weight), "GEE fit")
     est = dict(zip(res.param_names, res.theta_hat))
     ses = {}
     if res.sandwich_cov is not None:
         ses = dict(zip(res.param_names, res.se()))
-    beta = est.get("beta", point.known.get("beta"))
-    theta = beta / point.sigma2
-    or_point, or_se = or_from_theta(
-        theta, (ses.get("beta", 0.0) / point.sigma2) ** 2)
-    est["or"] = or_point
-    if "beta" in ses:
-        ses["or"] = or_se
+    or_unit = odds_ratio(res, point.sigma2)
+    if or_unit is not None:
+        est["or"] = or_unit["point"]
+        if "se" in or_unit:
+            ses["or"] = or_unit["se"]
     return est, ses
 
 

@@ -39,7 +39,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DataError, DomainError, NumericalError
 from .families import expit
 from .glm import LogisticFit
-from .model import ObservedDataset, newton
+from .model import ObservedDataset, newton, or_from_theta
 
 PROPENSITY_FLOOR = 1e-6
 ROOT_TOL = 1e-10
@@ -357,6 +357,19 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
                      n_total=data.n_total)
 
 
+def odds_ratio(res: GeeResult, sigma2: float) -> dict | None:
+    """Odds ratio exp(beta / sigma2) at unit pair contrast of a NormalLinear
+    fit: None when beta is known; its "se" only where the fit has a sandwich."""
+    if "beta" not in res.param_names:
+        return None
+    j = res.param_names.index("beta")
+    theta = res.theta_hat[j] / sigma2
+    if res.sandwich_cov is None:
+        return {"point": or_from_theta(theta, 0.0)[0]}
+    point, se = or_from_theta(theta, res.se()[j] / sigma2)
+    return {"point": point, "se": se}
+
+
 def sandwich_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
                  theta_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C_hat, D_hat, C^{-1} D C^{-T}); divide by N for Var(theta_hat)."""
@@ -409,12 +422,8 @@ def estimate_binary_2x2(data: ObservedDataset, theta11_known: float,
     logor = model.log_odds_ratio(res.theta_hat)
     se = None
     if res.sandwich_cov is not None:
-        eps = 1e-6
-        grad = np.zeros(2)
-        for j in range(2):
-            tp = res.theta_hat.copy()
-            tp[j] += eps
-            grad[j] = (model.log_odds_ratio(tp) - logor) / eps
+        # d log OR / d t_m = share_m - 1, the softmax chain rule of Binary2x2.a
+        grad = cells[:2] / (1.0 - theta11_known) - 1.0
         var = grad @ (res.sandwich_cov / data.n_total) @ grad
         se = float(np.sqrt(max(var, 0.0)))
     return Binary2x2Result(theta11=theta11_known, cells=cells,

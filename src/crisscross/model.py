@@ -1,6 +1,6 @@
 """Core model types: target-law parameters, missingness mechanism,
 observed datasets, the pairwise odds-ratio kernel, and the damped-Newton
-solver shared by the pseudo-likelihood and estimating-equation fits.
+solver and convergence check shared by the pseudo-likelihood and GEE fits.
 
 The data model is a pair (X, Y) with missingness indicators (R_x, R_y)
 obeying the criss-cross restrictions R_x _||_ X | Y and
@@ -205,21 +205,31 @@ def derive_conditional(mu1: float, mu2: float, sigma1: float, sigma2: float,
     return alpha, beta, sigma2_cond
 
 
-def or_from_theta(theta_hat: float, theta_var: float, contrast: float = 1.0
+def or_from_theta(theta_hat: float, theta_se: float, contrast: float = 1.0
                   ) -> tuple[float, float]:
-    """Odds ratio and delta-method SE at a fixed pair contrast; both must
-    be finite."""
-    if theta_var < 0:
-        raise DomainError("theta_var must be nonnegative")
+    """Odds ratio and delta-method SE at a fixed pair contrast, from theta
+    and its SE; both must be finite."""
+    if theta_se < 0:
+        raise DomainError("theta_se must be nonnegative")
     try:
         point = math.exp(theta_hat * contrast)
     except OverflowError:
         point = math.inf
-    se = point * abs(contrast) * math.sqrt(theta_var)
+    se = point * abs(contrast) * theta_se
     if not (math.isfinite(point) and math.isfinite(se)):
         raise NumericalError(f"odds ratio at log-odds {theta_hat * contrast!r} "
                              "or its SE is not finite")
     return point, se
+
+
+def check_converged(res, label: str):
+    """res, if its fit (a pseudo-likelihood or GEE result) stopped at its
+    maximizer or root: an estimate (and an SE) anywhere else means nothing."""
+    if not res.converged:
+        theta = ", ".join(f"{t:g}" for t in np.atleast_1d(res.theta_hat))
+        raise NumericalError(f"{label} did not converge (theta = {theta} "
+                             f"after {res.iterations} iterations)")
+    return res
 
 
 def newton(evaluate, theta0, n_terms: int, tol: float, label: str):

@@ -7,9 +7,9 @@ quadratic) selection mechanism:
     R_y ~ Bernoulli(expit(b0 + b1*R_x + b2*X [+ b3*X^2]))
 
 Coarsening then hides X when R_x = 0 and Y when R_y = 0.  Everything is
-a pure function of (config, seed): replicate r of an experiment runs on
-the stream SeedSequence((base_seed, sweep_index, r)), so replicates can
-be simulated concurrently without sharing state.
+a pure function of the scenario, whose seed is an int or a tuple of ints:
+replicate r of an experiment has seed (base_seed, sweep_index, r), so
+replicates can be simulated concurrently without sharing state.
 
 The bivariate-normal target draws Y ~ N(mu1, sigma1^2) first, then
 X | Y from the derived conditional, which matches the direction of the
@@ -82,7 +82,7 @@ class ScenarioConfig:
     target: Target
     mechanism: MissingnessMechanism
     n_total: int
-    seed: int
+    seed: int | tuple[int, ...]     # entropy of the SeedSequence the draw uses
 
     def __post_init__(self):
         if self.n_total <= 0:
@@ -169,11 +169,10 @@ def _draw_exp_family(spec: ExpFamilySpec, params: TargetLawParams, n, rng):
     return x, y
 
 
-def simulate_dataset(config: ScenarioConfig,
-                     rng: np.random.Generator | None = None) -> SimulationResult:
-    """Draw (X, Y), apply the selection mechanism, coarsen."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+def simulate_dataset(config: ScenarioConfig) -> SimulationResult:
+    """Draw (X, Y), apply the selection mechanism, coarsen, all from the
+    stream SeedSequence(config.seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = config.n_total
     x, y = _draw_complete(config.target, n, rng)
     p_rx = config.mechanism.p_rx(y)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,3 +170,14 @@ def test_propensity_floor_enforced():
                                      len(np.atleast_1d(r)), 1e-9))
     with pytest.raises(cc.NumericalError):
         cc.aipw_permutation(data, _h, bad)
+
+
+def test_default_nuisance_fit_floors_w_at_the_complete_cases(section61_small,
+                                                              monkeypatch):
+    # every fitted logistic model is expit(-50) ~ 2e-22 everywhere
+    def fit_logistic(design, response):
+        return SimpleNamespace(coef=np.r_[-50.0, np.zeros(design.shape[1] - 1)])
+
+    monkeypatch.setattr(cc.glm, "fit_logistic", fit_logistic)
+    with pytest.raises(cc.NumericalError, match="w below floor"):
+        cc.fit_permutation_nuisances(section61_small.observed, lambda x, y: x)

@@ -41,7 +41,27 @@ def test_estimate_gee_with_or(dataset_csv, capsys):
                  "--sigma2", "8.19"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["estimates"]) == {"alpha", "beta"}
-    assert "or_unit_contrast" in payload
+    odds = payload["or_unit_contrast"]
+    assert odds["point"] == pytest.approx(np.exp(payload["estimates"]["beta"] / 8.19),
+                                          rel=1e-12)
+    assert odds["se"] == pytest.approx(odds["point"] * payload["se"]["beta"] / 8.19,
+                                       rel=1e-12)
+
+
+# x = y at every complete case: the residuals are 0, so the fit has no
+# sandwich covariance
+EXACT_LINE = ("x,y,r_x,r_y\n0,0,1,1\n1,1,1,1\n2,2,1,1\n3,3,1,1\n4,4,1,1\n"
+              ",2,0,1\n4,,1,0\n6,,1,0\n2,,1,0\n")
+
+
+def test_gee_odds_ratio_has_no_se_without_a_sandwich(tmp_path, capsys):
+    path = tmp_path / "exact.csv"
+    path.write_text(EXACT_LINE)
+    assert main(["estimate", str(path), "--method", "gee", "--sigma2", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "se" not in payload
+    beta = payload["estimates"]["beta"]
+    assert payload["or_unit_contrast"] == {"point": pytest.approx(np.exp(beta))}
 
 
 def test_estimate_gee_optimal_with_known_alpha(dataset_csv, capsys):

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import crisscross as cc
-from crisscross.experiments import _cell_stats, _collect
+from crisscross.experiments import _cell_stats, _collect, _fit_gee, _fit_pseudolik
 
-from conftest import complete_dataset
+from conftest import UNDERFLOWED, complete_dataset
 
 
 def small_config(**kw):
@@ -85,6 +86,27 @@ def test_known_alpha_resolution():
     summary = cc.run_experiment(cfg)
     assert ("rho=0.5", "gee_nonoptimal", "beta") in summary.stats
     assert ("rho=0.5", "gee_nonoptimal", "alpha") not in summary.stats
+
+
+def test_known_beta_leaves_gee_without_an_odds_ratio():
+    cfg = cc.ExperimentConfig(sweep="rho", values=(0.3,), replicates=3,
+                              base_seed=5, n_total=400, known={"beta": "truth"},
+                              methods=("gee_nonoptimal",))
+    summary = cc.run_experiment(cfg)
+    assert set(summary.stats) == {("rho=0.3", "gee_nonoptimal", "alpha")}
+
+
+def test_an_unconverged_study_fit_is_a_numerical_error(monkeypatch):
+    with pytest.raises(cc.NumericalError, match="did not converge"):
+        _fit_pseudolik(complete_dataset(*UNDERFLOWED))
+    solve_gee = cc.gee.solve_gee
+    monkeypatch.setattr(cc.gee, "solve_gee", lambda *args: dataclasses.replace(
+        solve_gee(*args), converged=False))
+    point = cc.sweep_points(small_config())[0]
+    data = cc.simulate_dataset(cc.ScenarioConfig(point.target, point.mechanism,
+                                                 300, seed=1)).observed
+    with pytest.raises(cc.NumericalError, match="GEE fit did not converge"):
+        _fit_gee(data, point, None)
 
 
 def test_misspecification_sweep_uses_quadratic_mechanism():

@@ -346,6 +346,19 @@ def test_binary_estimate_recovers_log_odds_ratio():
     assert res.log_odds_ratio_se is not None and res.log_odds_ratio_se > 0
 
 
+@pytest.mark.parametrize("n, seed", [(5000, 7), (200, 11), (100_000, 42)])
+def test_binary_log_or_se_is_the_exact_delta_method(n, seed):
+    data = cc.simulate_binary(BINARY_TRUTH, BINARY_MECH, n, seed).observed
+    res = cc.estimate_binary_2x2(data, 0.723, cc.fit_propensity(data))
+    th12, th21, th22 = cells = res.cells
+    # log OR = log(theta11 th22 / (th12 th21)); cells = (1 - theta11) softmax(t1, t2, 0)
+    dlogor_dcells = np.array([-1.0 / th12, -1.0 / th21, 1.0 / th22])
+    dcells_dt = np.diag(cells)[:, :2] - np.outer(cells, cells[:2]) / (1.0 - 0.723)
+    grad = dlogor_dcells @ dcells_dt
+    se = math.sqrt(grad @ res.gee.sandwich_cov @ grad / data.n_total)
+    assert res.log_odds_ratio_se == pytest.approx(se, rel=1e-12)
+
+
 def test_binary_no_missingness_matches_renormalized_frequencies():
     mech = cc.MissingnessMechanism((50.0, 0.0), (50.0, 0.0, 0.0))
     sim = cc.simulate_binary(BINARY_TRUTH, mech, 20_000, 3)

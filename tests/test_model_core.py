@@ -84,24 +84,24 @@ def test_or_from_theta_examples():
     point, se = cc.or_from_theta(0.10989, 0.0, 1.0)
     assert round(point, 4) == 1.1162
     assert se == 0.0
-    point, se = cc.or_from_theta(0.0, 0.09, 2.0)
+    point, se = cc.or_from_theta(0.0, 0.3, 2.0)
     assert point == 1.0
     assert se == pytest.approx(0.3 * 2.0)
-    point, se = cc.or_from_theta(0.5, 0.04, 2.0)
+    point, se = cc.or_from_theta(0.5, 0.2, 2.0)
     assert point == pytest.approx(math.e)
     assert se == pytest.approx(2 * math.e * 0.2)
 
 
-def test_or_from_theta_rejects_negative_variance():
+def test_or_from_theta_rejects_negative_se():
     with pytest.raises(cc.DomainError):
         cc.or_from_theta(0.1, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("theta, var", [(800.0, 0.0), (1.0, math.inf),
-                                        (math.nan, 0.0), (0.1, math.nan)])
-def test_or_from_theta_rejects_non_finite_results(theta, var):
+@pytest.mark.parametrize("theta, se", [(800.0, 0.0), (1.0, math.inf),
+                                       (math.nan, 0.0), (0.1, math.nan)])
+def test_or_from_theta_rejects_non_finite_results(theta, se):
     with pytest.raises(cc.NumericalError, match="not finite"):
-        cc.or_from_theta(theta, var)
+        cc.or_from_theta(theta, se)
 
 
 # ------------------------------------------------------------------ #

@@ -324,10 +324,9 @@ def test_groupwise_three_no_less_efficient_than_pairwise():
     # paired replicates from the reference scenario at modest size
     r2, r3 = [], []
     for rep in range(40):
-        rng = np.random.default_rng(np.random.SeedSequence((555, rep)))
         sim = cc.simulate_dataset(
-            cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 300, 0),
-            rng=rng)
+            cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 300,
+                              seed=(555, rep)))
         r2.append(cc.fit_groupwise(sim.observed, 2).theta_hat)
         r3.append(cc.fit_groupwise(sim.observed, 3).theta_hat)
     ratio = np.std(r3, ddof=1) / np.std(r2, ddof=1)
