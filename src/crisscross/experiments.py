@@ -18,8 +18,9 @@ The optimal GEE takes its pilot coefficients from the medians of the
 non-optimal fits across the replicates of the same sweep point; in
 single-dataset use the caller passes a per-dataset pilot instead.
 
-Odds ratios are reported at unit pair contrast throughout, and fits are
-judged as in the CLI, by ``model.check_converged`` and ``gee.odds_ratio``.
+Odds ratios are reported at unit pair contrast throughout, by
+``gee.odds_ratio`` as in the CLI.  A fit that does not converge raises
+NumericalError in ``model.newton`` and counts as a failed replicate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, CrissCrossError, DataError
-from .model import ObservedDataset, check_converged, or_from_theta
+from .model import ObservedDataset, or_from_theta
 
 if TYPE_CHECKING:
     from .simulate import BivariateNormalTarget
@@ -184,7 +185,7 @@ def _simulate_replicate(point: SweepPoint, base_seed: int, r: int):
 
 def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
     from .pseudolik import fit_pairwise_with_variance
-    res = check_converged(fit_pairwise_with_variance(data), "pseudo-likelihood fit")
+    res = fit_pairwise_with_variance(data)
     or_point, or_se = or_from_theta(res.theta_hat, res.se)
     est = {"theta": res.theta_hat, "or": or_point}
     ses = {"theta": res.se, "or": or_se}
@@ -198,7 +199,7 @@ def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dic
     model = NormalLinear(known=point.known, sigma2=point.sigma2)
     pi_model = fit_propensity(data)
     weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
-    res = check_converged(solve_gee(data, model, pi_model, weight), "GEE fit")
+    res = solve_gee(data, model, pi_model, weight)
     est = dict(zip(res.param_names, res.theta_hat))
     ses = {}
     if res.sandwich_cov is not None:

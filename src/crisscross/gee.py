@@ -291,7 +291,6 @@ class GeeResult:
     d_hat: np.ndarray | None
     residual_norm: float
     iterations: int
-    converged: bool
     n_complete: int
     n_total: int
 
@@ -332,7 +331,8 @@ def gee_residual(data: ObservedDataset, model, pi_model: PropensityModel,
 def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
               ) -> GeeResult:
     """Newton root of the estimating equation, damped on the residual norm;
-    linear mean models converge in one step."""
+    linear mean models converge in one step, and a fit that stops short of a
+    root raises NumericalError."""
     cases = _weighted_cases(data, model, pi_model, f)
     _, yc, pi, F = cases
     f_over_pi = F * (1.0 / pi)[:, None]
@@ -342,19 +342,16 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
         return -np.linalg.norm(g), g, J
 
-    theta, it, converged, g = newton(evaluate, model.theta0(), 1, ROOT_TOL,
-                                     "estimating equation")
+    theta, it, g = newton(evaluate, model.theta0(), 1, ROOT_TOL, "GEE fit")
     c_hat, d_hat, cov = (None, None, None)
-    if converged:
-        try:
-            c_hat, d_hat, cov = _sandwich(cases, model, theta, data.n_total)
-        except NumericalError:
-            pass
+    try:
+        c_hat, d_hat, cov = _sandwich(cases, model, theta, data.n_total)
+    except NumericalError:
+        pass
     return GeeResult(theta_hat=theta, param_names=model.free_names,
                      sandwich_cov=cov, c_hat=c_hat, d_hat=d_hat,
                      residual_norm=float(np.linalg.norm(g)), iterations=it,
-                     converged=converged, n_complete=data.n_complete,
-                     n_total=data.n_total)
+                     n_complete=data.n_complete, n_total=data.n_total)
 
 
 def odds_ratio(res: GeeResult, sigma2: float) -> dict | None:

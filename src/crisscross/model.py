@@ -1,6 +1,7 @@
 """Core model types: target-law parameters, missingness mechanism,
 observed datasets, the pairwise odds-ratio kernel, and the damped-Newton
-solver and convergence check shared by the pseudo-likelihood and GEE fits.
+solver shared by the pseudo-likelihood and GEE fits, which either stops at
+a maximizer or root or raises NumericalError.
 
 The data model is a pair (X, Y) with missingness indicators (R_x, R_y)
 obeying the criss-cross restrictions R_x _||_ X | Y and
@@ -222,20 +223,12 @@ def or_from_theta(theta_hat: float, theta_se: float, contrast: float = 1.0
     return point, se
 
 
-def check_converged(res, label: str):
-    """res, if its fit (a pseudo-likelihood or GEE result) stopped at its
-    maximizer or root: an estimate (and an SE) anywhere else means nothing."""
-    if not res.converged:
-        theta = ", ".join(f"{t:g}" for t in np.atleast_1d(res.theta_hat))
-        raise NumericalError(f"{label} did not converge (theta = {theta} "
-                             f"after {res.iterations} iterations)")
-    return res
-
-
 def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
     """Damped Newton iteration toward a root of g from theta0, where
     evaluate(theta) = (merit, g, J = dg/dtheta); returns (theta, iterations,
-    converged, g), theta scalar if theta0 is.
+    g) at a maximizer or root, theta scalar if theta0 is, and raises
+    NumericalError on any other stop: an estimate (and an SE) anywhere else
+    means nothing.
 
     A step solves J step = -g.  The full step may lower the merit by
     roundoff, 1e-12 max(1, |merit|); a halved one (at most 50 halvings) may
@@ -243,9 +236,9 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
     Converged at |g| / n_terms <= tol (a raw sum of n_terms terms sits at
     roundoff long before that for large n) with a pending step of at most
     1e-6 max(1, |theta|): near separation the score is tiny long before
-    theta stops moving.  A step no halving keeps, or one below
-    1e-15 max(1, |theta|), stops the iteration unconverged."""
-    theta, it, converged = theta0, 0, False
+    theta stops moving.  A step no halving keeps, one below
+    1e-15 max(1, |theta|), or NEWTON_MAX_ITER iterations stop it unconverged."""
+    theta, it = theta0, 0
     merit, g, J = evaluate(theta0)
     for it in range(1, NEWTON_MAX_ITER + 1):
         try:
@@ -256,8 +249,7 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
         size = np.linalg.norm(theta)
         if (np.linalg.norm(g) / n_terms <= tol
                 and np.linalg.norm(step) <= 1e-6 * max(1.0, size)):
-            converged = True
-            break
+            return theta, it, g
         scale, slack = 1.0, 1e-12 * max(1.0, abs(merit))
         for _ in range(51):
             cand = evaluate(theta + scale * step)
@@ -270,4 +262,6 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
             break
         theta = theta + scale * step
         merit, g, J = cand
-    return theta, it, converged, g
+    shown = ", ".join(f"{t:g}" for t in np.atleast_1d(theta))
+    raise NumericalError(f"{label} did not converge (theta = {shown} "
+                         f"after {it} iterations)")

@@ -86,7 +86,6 @@ class PseudoLikResult:
     n_complete: int
     n_total: int
     iterations: int
-    converged: bool
     group_size: int = 2
     a_hat: float | None = None
     b_hat: float | None = None
@@ -333,10 +332,9 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         else:
             delta_blocks = lambda: _group_deltas(xc, yc, group_size)
         evaluate = lambda t: _groupwise_score_hess(delta_blocks, t)[:3]
-    theta, it, converged, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL,
-                                     "pairwise" if group_size == 2 else "groupwise")
+    theta, it, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL, "pseudo-likelihood fit")
     return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
-                           iterations=it, converged=converged, group_size=group_size,
+                           iterations=it, group_size=group_size,
                            ties_dropped=ties if group_size == 2 else None)
 
 

@@ -88,6 +88,11 @@ class ScenarioConfig:
         if self.n_total <= 0:
             raise DomainError("n_total must be positive")
         check_rows_fit(self.n_total, "n_total")
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not seeds or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                                and s >= 0 for s in seeds):
+            raise DomainError("seed must be an integer >= 0 or a non-empty tuple of "
+                              f"them, got {self.seed!r}")
 
 
 # bytes a simulated row holds: observed and complete x and y as float64,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,19 +382,32 @@ def test_fit_away_from_its_maximizer_exits_4(name, group_size, tmp_path, capsys)
 
 def test_bootstrap_counts_an_unconverged_resample_fit_as_failed(tmp_path, capsys,
                                                                monkeypatch):
-    # every resample of the underflowed rows either is separated or has a
-    # pairwise fit that ends unconverged, so no resample succeeds
+    # every resample of the underflowed rows either is separated (12 of 20)
+    # or has a pairwise fit that ends unconverged (8), so none succeeds
     import crisscross.pseudolik as pl
-    fits = []
-    fit = pl.fit_pairwise
-    monkeypatch.setattr(pl, "fit_pairwise", lambda design: fits.append(fit(design)) or fits[-1])
+    errors = []
+    monkeypatch.setattr(pl, "fit_pairwise", _raise_spy(pl.fit_pairwise, errors))
     path = tmp_path / "underflowed.csv"
     cc.save_dataset(complete_dataset(*UNDERFLOWED), path)
     argv = ["bootstrap", str(path), "--method", "pseudolik", "--resamples", "20",
             "--seed", "1"]
     assert main(argv) == 3
     assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err
-    assert fits and not any(res.converged for res in fits)
+    assert len(errors) == 20
+    assert sum("did not converge" in e and "after 100 iterations" in e for e in errors) == 8
+
+
+def _raise_spy(fit, errors):
+    """fit, recording the message of each CrissCrossError it raises; a
+    fit that returns fails the test."""
+    def spy(*args):
+        try:
+            res = fit(*args)
+        except cc.CrissCrossError as exc:
+            errors.append(str(exc))
+            raise
+        raise AssertionError(f"a resample fit returned {res}")
+    return spy
 
 
 # seven binary rows whose 2x2 estimating equation runs the free cells to the
@@ -414,13 +428,30 @@ def test_bootstrap_counts_an_unconverged_gee_fit_as_failed(tmp_path, capsys, mon
     # 17 of these 20 resamples fail on their data; the other 3 end with an
     # unconverged estimating equation, so no resample succeeds
     import crisscross.gee as gee
-    fits = []
-    solve = gee.solve_gee
-    monkeypatch.setattr(gee, "solve_gee", lambda *a: fits.append(solve(*a)) or fits[-1])
+    errors = []
+    monkeypatch.setattr(gee, "solve_gee", _raise_spy(gee.solve_gee, errors))
     path = tmp_path / "unconverged.csv"
     path.write_text(UNCONVERGED_2X2)
     argv = ["bootstrap", str(path), "--method", "gee", "--binary", "--theta11", "0.25",
             "--resamples", "20", "--seed", "5"]
     assert main(argv) == 3
     assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err
-    assert any(not res.converged for res in fits)
+    assert len(errors) == 20
+    assert sum(e.startswith("GEE fit did not converge") and "after 100 iterations" in e
+               for e in errors) == 3
+
+
+STUDIES = Path(__file__).resolve().parent.parent / "studies"
+
+
+@pytest.mark.parametrize("name", ["table1", "rho_sweep", "misspec"])
+def test_shipped_study_config_runs(name, tmp_path, capsys):
+    cfg = json.loads((STUDIES / f"{name}.json").read_text())
+    cfg["replicates"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    assert json.loads(capsys.readouterr().out)
+    mirror = json.loads((tmp_path / f"{name}.json").read_text())["config"]
+    assert {k: mirror[k] for k in cfg} == cfg
+    assert (tmp_path / f"{name}.csv").read_text().startswith("sweep_point,method,")

@@ -98,7 +98,6 @@ def test_solve_matches_closed_form_least_squares():
     data = complete_dataset(x, y)
     res = cc.solve_gee(data, cc.NormalLinear(), PI_ONE, cc.NonOptimalF())
     _, coef = _ols(x, y)
-    assert res.converged
     assert np.max(np.abs(res.theta_hat - coef)) < 1e-10
 
 
@@ -111,7 +110,6 @@ def test_solve_toy_dataset_matches_grid_oracle():
          for b in np.arange(-2.0, 2.0, 1e-3)]
     coarse = np.arange(-2.0, 2.0, 1e-3)[int(np.argmin(r))]
     res = cc.solve_gee(data, model, pi, cc.NonOptimalF())
-    assert res.converged
     assert abs(res.theta_hat[0] - coarse) <= 1e-3
     assert np.linalg.norm(
         cc.gee_residual(data, model, pi, cc.NonOptimalF(), res.theta_hat)) < 1e-12
@@ -250,7 +248,7 @@ def test_sandwich_rejects_a_zero_variance():
     with pytest.raises(cc.NumericalError, match="positive and finite"):
         cc.sandwich_gee(data, cc.NormalLinear(), PI_ONE, cc.NonOptimalF(), np.zeros(2))
     res = cc.solve_gee(data, cc.NormalLinear(), PI_ONE, cc.NonOptimalF())
-    assert res.converged and res.sandwich_cov is None
+    assert res.sandwich_cov is None
     with pytest.raises(cc.NumericalError):
         res.se()
 
@@ -292,7 +290,7 @@ def test_solve_evaluates_the_weight_once_per_fit(optimal, theta, cov):
     f = CountingF(cc.optimal_f(pi, [-1.4, 0.9]) if optimal else cc.NonOptimalF())
     res = cc.solve_gee(data, model, pi, f)
     assert f.calls == 1
-    assert res.converged and res.iterations == 2
+    assert res.iterations == 2
     # values recorded when every residual, Jacobian and sandwich
     # evaluation recomputed the weights (five calls per fit)
     assert np.allclose(res.theta_hat, theta, rtol=1e-13, atol=0)
@@ -318,14 +316,12 @@ def test_solve_stops_when_no_step_lowers_the_residual(monkeypatch):
     residual = cc.gee._residual
     monkeypatch.setattr(cc.gee, "_residual",
                         lambda *args: calls.append(1) or residual(*args))
-    res = cc.solve_gee(data, WrongSignA(), pi, cc.NonOptimalF())
-    assert not res.converged and res.sandwich_cov is None
-    assert res.iterations == 1
-    # the start, then the full step and its 50 halvings: theta never moved
+    # theta never moved from the start
+    with pytest.raises(cc.NumericalError, match=r"^GEE fit did not converge "
+                       r"\(theta = 0, 0 after 1 iterations\)$"):
+        cc.solve_gee(data, WrongSignA(), pi, cc.NonOptimalF())
+    # the start, then the full step and its 50 halvings
     assert len(calls) == 1 + 51
-    assert np.array_equal(res.theta_hat, np.zeros(2))
-    assert res.residual_norm == np.linalg.norm(cc.gee_residual(
-        data, cc.NormalLinear(), pi, cc.NonOptimalF(), np.zeros(2)))
 
 
 # ------------------------------------------------------------------ #
@@ -340,7 +336,6 @@ def test_binary_estimate_recovers_log_odds_ratio():
     sim = cc.simulate_binary(BINARY_TRUTH, BINARY_MECH, 5000, 7)
     pi = cc.fit_propensity(sim.observed)
     res = cc.estimate_binary_2x2(sim.observed, 0.723, pi)
-    assert res.gee.converged
     assert res.log_odds_ratio == pytest.approx(BINARY_TRUTH.log_odds_ratio(),
                                                abs=0.3)
     assert res.log_odds_ratio_se is not None and res.log_odds_ratio_se > 0
@@ -445,5 +440,38 @@ def test_linear_model_converges_after_one_step(known, monkeypatch):
     monkeypatch.setattr(cc.gee, "_residual",
                         lambda *args: calls.append(1) or residual(*args))
     res = cc.solve_gee(data, cc.NormalLinear(known=known), pi, cc.NonOptimalF())
-    assert res.converged and res.iterations == 2 and len(calls) == 2
+    assert res.iterations == 2 and len(calls) == 2
     assert res.sandwich_cov is not None
+
+
+def _pairwise(data):
+    return cc.fit_pairwise(cc.build_pairs(data))
+
+
+def _groupwise_three(data):
+    return cc.fit_groupwise(data, 3)
+
+
+def _plain_gee(data):
+    return cc.solve_gee(data, cc.NormalLinear(), cc.fit_propensity(data), cc.NonOptimalF())
+
+
+def _binary(data):
+    return cc.estimate_binary_2x2(data, 0.723, cc.fit_propensity(data)).gee
+
+
+@pytest.mark.parametrize("fit, data", [
+    (_pairwise, "normal"), (_groupwise_three, "normal"), (_plain_gee, "normal"),
+    (_binary, "binary")])
+def test_each_front_end_raises_when_its_fit_stops_unconverged(fit, data, monkeypatch):
+    # each of these fits converges in more than one iteration
+    if data == "normal":
+        data = cc.simulate_dataset(cc.ScenarioConfig(
+            cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 60, seed=3)).observed
+    else:
+        data = cc.simulate_binary(BINARY_TRUTH, BINARY_MECH, 200, 11).observed
+    assert fit(data).iterations > 1
+    monkeypatch.setattr(cc.model, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(cc.NumericalError,
+                       match=r"did not converge \(theta = [^)]+ after 1 iterations\)$"):
+        fit(data)

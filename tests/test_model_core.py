@@ -182,7 +182,7 @@ def test_dataset_coarsening_enforced():
                            np.array([1]), np.array([1]))
 
 
-def test_newton_keeps_iterating_while_a_step_is_pending():
+def test_newton_keeps_iterating_while_a_step_is_pending(monkeypatch):
     # merit -(5 - t)^2 / 2 scaled by 1e-12: its score 1e-12 (5 - t) passes
     # the score test everywhere near its maximizer t = 5
     from crisscross.model import newton
@@ -191,6 +191,12 @@ def test_newton_keeps_iterating_while_a_step_is_pending():
     def evaluate(t):
         calls.append(t)
         return -0.5e-12 * (5.0 - t) ** 2, 1e-12 * (5.0 - t), -1e-12
-    theta, it, converged, _ = newton(evaluate, 0.0, 1, 1e-8, "test")
-    assert converged and it == 2 and calls == [0.0, theta]
+    theta, it, _ = newton(evaluate, 0.0, 1, 1e-8, "test")
+    assert it == 2 and calls == [0.0, theta]
     assert theta == pytest.approx(5.0, rel=1e-15)
+    # capped at one iteration, the fit stops with its step to t = 5 taken
+    # but not yet checked
+    monkeypatch.setattr(cc.model, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(cc.NumericalError,
+                       match=r"^test did not converge \(theta = 5 after 1 iterations\)$"):
+        newton(evaluate, 0.0, 1, 1e-8, "test")

@@ -106,6 +106,13 @@ def test_sample_size_beyond_physical_memory_is_a_domain_error(n_total):
         cc.ExperimentConfig(sweep="sample_size", values=(n_total,), replicates=2)
 
 
+@pytest.mark.parametrize("seed", [-1, (1, -2), 1.5, "a", True, ()],
+                         ids=["negative", "negative-entry", "float", "str", "bool", "empty"])
+def test_scenario_seed_is_checked(seed):
+    with pytest.raises(cc.DomainError, match="seed must be an integer >= 0"):
+        cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 10, seed)
+
+
 def test_experiment_bounds_the_replicates_it_holds_at_once():
     cc.ExperimentConfig(sweep="rho", values=(0.3,), replicates=2, n_total=40)
     with pytest.raises(cc.DomainError, match="replicates x sample size"):
