@@ -4,7 +4,9 @@ Subcommands: simulate, identify, estimate, experiment,
 verify-counterexample, bootstrap.  Exit codes: 0 success, 2 configuration
 or domain error (ConfigError, DomainError), 3 data error (DataError), 4
 numerical failure (NumericalError, SeparationError) or any other
-CrissCrossError.  An error prints one line to stderr, never a traceback.
+CrissCrossError, 141 when stdout is closed before the output is written
+(as for a process that SIGPIPE ends), with nothing on stderr.  An error
+prints one line to stderr, never a traceback.
 
 Each handler imports the layers it runs when it runs, so a command loads
 no layer it does not call (``--version`` loads none).
@@ -16,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -35,6 +38,12 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         args.handler(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: let the interpreter's last flush go to
+        # devnull, and exit as a process that SIGPIPE ends would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

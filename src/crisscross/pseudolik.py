@@ -18,11 +18,16 @@ d^2 sigma (1 - sigma) = r^2 e.  No term is a difference of sums of |d|,
 so the score keeps its digits near separation.  One kernel pass gives
 all three sums, streaming the upper triangle of the d matrix
 in row blocks of about ``_BLOCK`` cells: memory is bounded by a block,
-not by the n_c^2 pairs.  Each fit allocates the block temporaries once,
-as a workspace that every block of every pass writes into.  Groupwise
-variants replace pairs by index groups of size g in {2, 3, 4},
-normalizing each group by the sum over the g! permutations of its x
-values; g = 2 recovers the pairwise objective.  For g = 3 and 4 the
+not by the n_c^2 pairs.  The kernel runs over the K distinct (x, y)
+complete cases with their counts w: a pair of them (a, b) stands for
+w_a w_b pairs with the same d, and the pairs inside one are tied in y and
+drop out, so each sum is the w_a w_b-weighted sum over K^2 / 2 cells
+(w = 1 when the cases are all distinct).  Bootstrap resamples and binary
+or count data repeat cases, and cost K^2 cells, not n_c^2.  Each fit
+allocates the block temporaries once, as a workspace that every block of
+every pass writes into.  Groupwise variants replace pairs by index groups
+of size g in {2, 3, 4}, normalizing each group by the sum over the g!
+permutations of its x values; g = 2 recovers the pairwise objective.  For g = 3 and 4 the
 contrasts S_P - S_id of a block of groups are one matmul of a fixed +-1
 matrix with the groups' outer products x_a y_b, stored permutation-major
 as (g! - 1, m): the identity's contrast is always 0, so it has no row.
@@ -32,7 +37,9 @@ sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B average
 d zeta / d theta over pairs and 4 zeta_12 zeta_13 over triples (observed
 ones).  d zeta / d theta is the Hessian term, so a_hat = -2 H / (n (n-1)),
 and with zeta row sums R_i, b_hat = 4 (sum R_i^2 - sum_{i != k} zeta_ik^2)
-/ (n (n-1) (n-2)), from one pass at theta_hat.  Var(theta_hat) ~=
+/ (n (n-1) (n-2)), from one pass at theta_hat.  Over the cells, R_i is
+its cell's sum_b w_b zeta_ab, sum_i R_i^2 = sum_a w_a R_a^2 and
+sum_{i != k} zeta_ik^2 = sum_{a != b} w_a w_b zeta_ab^2.  Var(theta_hat) ~=
 (b_hat / a_hat^2) / n_complete; n and N are both in the result.
 """
 
@@ -112,11 +119,20 @@ def build_pairs(data: ObservedDataset) -> PairDesign:
                       n_total=data.n_total)
 
 
+def _cells(xc, yc):
+    """(x, y, w): the K distinct (x, y) complete cases, sorted by y and then
+    by x, and the number of complete cases each stands for, as floats."""
+    order = np.lexsort((xc, yc))
+    xs, ys = xc[order], yc[order]
+    starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])
+    return xs[starts], ys[starts], np.diff(np.r_[starts, len(xs)]).astype(float)
+
+
 def _workspace(n):
     """(rows per block, lower-triangle mask of a full block, a buffer of five
-    rows of at least rows n cells for the block temporaries).  A fit makes
-    one and every block of every pass writes into it, so a fit faults its
-    block memory in once, not once per block."""
+    rows of at least rows n cells for the block temporaries), for n cells.
+    A fit makes one and every block of every pass writes into it, so a fit
+    faults its block memory in once, not once per block."""
     rows = min(n, max(1, _BLOCK // n))
     # each buffer row starts on a 64-byte cache line (np.empty aligns to 16
     # bytes only): a vector load that straddles two lines is slower
@@ -151,42 +167,49 @@ class _PairSums(NamedTuple):
     triples: float      # sum_{i, k != l} zeta_ik zeta_il (rows=True)
 
 
-def _pass(xc, yc, theta, ws, ties=0, rows=False) -> _PairSums:
-    """One kernel pass at theta in the workspace ws, by the module
-    docstring's per-cell identity.  The d block is clipped in place to
+def _pass(x, y, w, theta, ws, ties=0, rows=False) -> _PairSums:
+    """One kernel pass at theta over the cells (x, y, w) of ``_cells`` in the
+    workspace ws, by the module docstring's per-cell identity; ties counts
+    the pairs tied in y, which drop out.  The d block is clipped in place to
     c = s m = min(d, 0) (max(d, 0) for theta < 0), so softplus(-theta d)
-    = log1p(e) - theta c and d sigma = s r e + c = -zeta."""
-    n = len(xc)
+    = log1p(e) - theta c and d sigma = s r e + c = -zeta.  Each block sum
+    is wr @ (B @ wc) over the rows' and the columns' counts."""
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
     clip = np.minimum if s > 0 else np.maximum
-    sum_c = sum_log = sum_re = sum_h = zeta_sq = 0.0
-    cells = 0
-    zeta_rows = np.zeros(n) if rows else None
+    sum_c = sum_log = sum_re = sum_h = zeta_sq = cells = 0.0
+    zeta_rows = np.zeros(len(x)) if rows else None
     # r first holds the y differences and log1p(e), and c overwrites d, so a
     # pass without row sums keeps four block arrays in cache, not five
-    for r0, (d, r, ad, e, zeta) in _blocks(xc, yc, ws):
-        cells += d.size
+    for r0, (d, r, ad, e, zeta) in _blocks(x, y, ws):
+        wr, wc = w[r0:r0 + len(d)], w[r0:]
+        cells += wr.sum() * wc.sum()
         np.abs(d, out=ad)
         c = clip(d, 0.0, out=d)
-        sum_c += float(c.sum())
+        sum_c += wr @ (c @ wc)
         np.multiply(ad, -a, out=e)
         np.exp(e, out=e)
-        sum_log += float(np.log1p(e, out=r).sum())
+        sum_log += wr @ (np.log1p(e, out=r) @ wc)
         np.add(e, 1.0, out=r)
         np.divide(ad, r, out=r)                     # r = |d| / (1 + e)
         re = np.multiply(r, e, out=e)
-        sum_re += float(re.sum())
+        sum_re += wr @ (re @ wc)
         if rows:        # zeta = -(s r e + c)
             np.multiply(re, -s, out=zeta)
             zeta -= c
-            zeta_rows[r0:r0 + len(c)] += zeta.sum(axis=1)
-            zeta_rows[r0:] += zeta.sum(axis=0)
-            zeta_sq += float(np.einsum("ij,ij->", zeta, zeta))
-        sum_h += float(np.einsum("ij,ij->", r, re))
-    padding = cells - n * (n - 1) // 2 + ties     # d = 0 cells: log 2 each
+            zeta_rows[r0:r0 + len(c)] += zeta @ wc
+            zeta_rows[r0:] += wr @ zeta
+            zeta *= zeta
+            zeta_sq += wr @ (zeta @ wc)
+        sum_h += wr @ (np.multiply(r, re, out=r) @ wc)
+    # d = 0 cells count log 2 each: the diagonal and lower triangle of each
+    # block, beyond the (total^2 - sq) / 2 pairs of distinct cells, and the
+    # pairs tied in y, beyond the (sq - total) / 2 inside the cells
+    total, sq = w.sum(), w @ w
+    padding = cells - (total * total - sq) / 2 + ties - (sq - total) / 2
     loglik = theta * sum_c - sum_log + padding * _LOG2
-    triples = float(np.sum(zeta_rows ** 2)) - 2.0 * zeta_sq if rows else 0.0
-    return _PairSums(loglik, s * sum_re + sum_c, -sum_h, triples)
+    triples = w @ zeta_rows ** 2 - 2.0 * zeta_sq if rows else 0.0
+    return _PairSums(float(loglik), float(s * sum_re + sum_c), float(-sum_h),
+                     float(triples))
 
 
 def fit_pairwise(design: PairDesign) -> PseudoLikResult:
@@ -254,7 +277,8 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
     """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id))."""
     xc, yc = _group_cases(data, group_size)
     if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
-        return _pass(xc, yc, theta, _workspace(len(xc))).loglik
+        x, y, w = _cells(xc, yc)
+        return _pass(x, y, w, theta, _workspace(len(x))).loglik
     return _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size), theta)[0]
 
 
@@ -305,13 +329,14 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
     iff the largest x at some y value is above the smallest x at the one
     before it: otherwise each y value's x range lies at or below the one
     before, so no two y values make a concordant pair (likewise for
-    discordant pairs).  The groupwise permutation contrasts are kept when
-    they fit in memory and regenerated per evaluation otherwise."""
+    discordant pairs).  The cells are sorted by y and then by x, so a y
+    value's smallest and largest x are the first and last of its run.  The
+    groupwise permutation contrasts are kept when they fit in memory and
+    regenerated per evaluation otherwise."""
     xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
-    order = np.argsort(yc)
-    ys, xs = yc[order], xc[order]
-    starts = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
-    lo, hi = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+    x, y, w = _cells(xc, yc)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    lo, hi = x[starts], x[np.r_[starts[1:], len(x)] - 1]
     concordant = bool(np.any(hi[1:] > lo[:-1]))
     discordant = bool(np.any(lo[1:] < hi[:-1]))
     if not (concordant or discordant):
@@ -321,8 +346,8 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
     if group_size == 2:
-        ws = _workspace(n)
-        evaluate = lambda t: _pass(xc, yc, t, ws, ties)[:3]
+        ws = _workspace(len(x))
+        evaluate = lambda t: _pass(x, y, w, t, ws, ties)[:3]
         n_terms = n * (n - 1) // 2 - ties
     else:
         n_terms = math.comb(n, group_size)
@@ -349,7 +374,8 @@ def variance_ustat(data: ObservedDataset, theta_hat: float
     n = len(xc)
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
-    sums = _pass(xc, yc, theta_hat, _workspace(n), rows=True)
+    x, y, w = _cells(xc, yc)
+    sums = _pass(x, y, w, theta_hat, _workspace(len(x)), rows=True)
     a_hat = -2.0 * sums.hess / (n * (n - 1))
     b_hat = 4.0 * sums.triples / (n * (n - 1) * (n - 2))
     if a_hat <= 0 or not math.isfinite(a_hat):

@@ -218,6 +218,27 @@ def _run_without_traceback(argv, capsys):
     return code
 
 
+def test_stdout_closed_early_exits_141_without_traceback(dataset_csv):
+    # the reader closes the pipe before the fit ends, as `estimate ... | true`
+    import os
+    import subprocess
+    import sys
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "crisscross.cli", "estimate",
+                             str(dataset_csv), "--method", "pseudolik"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_exit_code_2_on_domain_error(tmp_path, capsys):
     assert _run_without_traceback(["verify-counterexample", "--step", "0.1"], capsys) == 2
     const_x = tmp_path / "const_x.csv"

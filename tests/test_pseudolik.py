@@ -258,9 +258,10 @@ def test_pair_kernel_keeps_its_digits_near_separation(theta):
     # the score's terms, of size 1e-9, cancel to 1e-13 or less: it may be
     # off by 64 eps of their magnitudes' sum, the oracle's own rounding.
     # The objective's d = 0 padding cells add and take back log 2 each
-    from crisscross.pseudolik import _pass, _workspace
+    from crisscross.pseudolik import _cells, _pass, _workspace
     xc, yc = map(np.array, NEAR_SEPARATED)
-    sums = _pass(xc, yc, theta, _workspace(len(xc)))
+    x, y, w = _cells(xc, yc)
+    sums = _pass(x, y, w, theta, _workspace(len(x)))
     loglik, score, hess = _pair_terms(xc, yc, theta)
     assert abs(sums.score - np.sum(score)) <= 64 * np.finfo(float).eps * np.sum(np.abs(score))
     assert sums.loglik == pytest.approx(np.sum(loglik), rel=1e-12)
@@ -519,20 +520,69 @@ def test_one_workspace_per_fit(monkeypatch):
     assert calls == [90, 90]
     cc.groupwise_loglik(data, 0.3, 2)
     assert calls == [90, 90, 90]
+    # 576 binary complete cases are 4 distinct (x, y) cells: each pass walks 4
+    _, x, y = next(_repeated_cases())
+    cc.fit_pairwise_with_variance(complete_dataset(x, y))
+    assert calls == [90, 90, 90, 4, 4]
+
+
+def _repeated_cases():
+    """(name, x, y) draws whose complete cases repeat, and one that does not."""
+    rng = np.random.default_rng(81)
+    x = rng.integers(0, 2, size=576).astype(float)
+    yield "binary", x, (rng.random(576) < 0.35 + 0.3 * x).astype(float)
+    y = np.round(rng.normal(size=400), 1)
+    yield "poisson x", rng.poisson(np.exp(0.5 - 0.4 * y)).astype(float), y
+    x = rng.normal(size=400)
+    y = 0.4 * x + rng.normal(size=400)
+    idx = rng.integers(0, 400, size=400)
+    yield "bootstrap resample", x[idx], y[idx]
+    yield "all distinct", x, y
+
+
+def _expanded_oracle(xc, yc):
+    """Over every complete-case row: theta_hat from model.newton on the
+    per-pair oracle terms, a and b at it from the full n x n zeta matrix,
+    and the g = 2 objective (tied pairs log 2 each) as a function."""
+    n = len(xc)
+    dm = np.subtract.outer(xc, xc) * np.subtract.outer(yc, yc)
+    untied = int(np.sum(np.triu(np.subtract.outer(yc, yc) != 0, 1)))
+    evaluate = lambda t: tuple(float(np.sum(v)) for v in _pair_terms(xc, yc, t))
+    theta, _, _ = cc.model.newton(evaluate, 0.0, untied, cc.pseudolik.SCORE_TOL, "oracle")
+    lo, hi = np.logaddexp(0.0, theta * dm), np.logaddexp(0.0, -theta * dm)
+    zeta = -dm * np.exp(-lo)
+    a = float(np.sum(dm * dm * np.exp(-lo - hi))) / (n * (n - 1))
+    b = 4.0 * float(np.sum(zeta.sum(axis=1) ** 2) - np.sum(zeta ** 2)) / (n * (n - 1) * (n - 2))
+    upper = dm[np.triu_indices(n, 1)]
+    loglik = lambda t: -float(np.sum(np.logaddexp(0.0, -t * upper)))
+    return theta, a, b, loglik
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_cell_kernel_matches_the_expanded_rows(case):
+    name, x, y = list(_repeated_cases())[case]
+    data = complete_dataset(x, y)
+    theta, a, b, loglik = _expanded_oracle(x, y)
+    res = cc.fit_pairwise_with_variance(data)
+    assert res.theta_hat == pytest.approx(theta, rel=1e-12), name
+    assert res.a_hat == pytest.approx(a, rel=1e-12), name
+    assert res.b_hat == pytest.approx(b, rel=1e-12), name
+    for t in (res.theta_hat, -0.3, 0.0):
+        assert cc.groupwise_loglik(data, t, 2) == pytest.approx(loglik(t), rel=1e-12), name
 
 
 def test_section61_fit_is_pinned():
-    # n_c = 2251 gives 29 rows per block and a last block of 18 rows; the
-    # values are the per-cell kernel's.  A long-double Newton root is
-    # 0.0959666651954621, 1.08e-11 relative above theta_hat: the stop
-    # tolerance, not rounding
+    # n_c = 2251 distinct cases give 29 rows per block and a last block of
+    # 18 rows; the values are the per-cell kernel's, summed over the cases
+    # sorted by y.  A long-double Newton root is 0.0959666651954621,
+    # 1.08e-11 relative above theta_hat: the stop tolerance, not rounding
     config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 4100, seed=7)
     data = cc.simulate_dataset(config).observed
     res = cc.fit_pairwise_with_variance(data)
     assert data.n_complete == 2251
-    assert res.theta_hat == 0.09596666519442283
-    assert res.a_hat == 3.9842138358491703
-    assert res.b_hat == 3.7945948935380645
+    assert res.theta_hat == 0.09596666519442344
+    assert res.a_hat == 3.984213835849157
+    assert res.b_hat == 3.794594893538064
 
 
 def test_ties_counted_from_runs_of_equal_y():
@@ -554,15 +604,18 @@ def test_fit_with_variance_memory_is_bounded_by_a_block():
     import tracemalloc
     rng = np.random.default_rng(41)
     x = rng.normal(size=3000)
-    data = complete_dataset(x, 0.3 * x + rng.normal(size=3000))
-    tracemalloc.start()
-    try:
-        cc.fit_pairwise_with_variance(data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the 4.5M pairs would take 36 MB per float64 array
-    assert peak < 32 * 2 ** 20
+    y = 0.3 * x + rng.normal(size=3000)
+    idx = rng.integers(0, 3000, size=3000)
+    # all distinct, and a bootstrap resample of them (about 1900 cells)
+    for data in (complete_dataset(x, y), complete_dataset(x[idx], y[idx])):
+        tracemalloc.start()
+        try:
+            cc.fit_pairwise_with_variance(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 4.5M pairs would take 36 MB per float64 array
+        assert peak < 32 * 2 ** 20
 
 
 def test_groupwise_memory_is_bounded_by_a_block():
