@@ -8,6 +8,10 @@ CrissCrossError, 141 when stdout is closed before the output is written
 (as for a process that SIGPIPE ends), with nothing on stderr.  An error
 prints one line to stderr, never a traceback.
 
+Every command prints its JSON through ``_emit``, which saves the same
+report to ``--out`` (``simulate`` and ``experiment`` write their data there
+instead).  An experiment config's keys are ``ExperimentConfig``'s fields.
+
 Each handler imports the layers it runs when it runs, so a command loads
 no layer it does not call (``--version`` loads none).
 """
@@ -111,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check the two observed-equivalent full laws")
     _common(p, seed=False, config=False)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--quad-tol", type=float, default=1e-9,
-                   help="the Gauss-Legendre integrals may differ from their "
-                        "half-width-panel refinement by at most "
-                        "max(1e3 * QUAD_TOL, 1e-6)")
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("bootstrap", help="bootstrap SEs for one method")
@@ -139,6 +139,14 @@ def _common(p, seed=True, config=True):
         p.add_argument("--config", type=str, default=None,
                        help="JSON configuration file")
     p.add_argument("--threads", type=int, default=1)
+
+
+def _emit(payload, report=None) -> None:
+    """Print a command's JSON, after saving it as the ``--out`` report."""
+    if report:
+        from .dataio import save_report
+        save_report(payload, report)
+    print(json.dumps(payload, indent=2, default=float))
 
 
 def _load_config(args) -> dict:
@@ -199,13 +207,13 @@ def _cmd_simulate(args):
     if args.out:
         from .dataio import save_dataset
         save_dataset(sim.observed, args.out)
-    print(json.dumps({
+    _emit({
         "n_total": sim.observed.n_total,
         "n_complete": sim.observed.n_complete,
         "pattern_counts": list(summary.counts),
         "pattern_frequencies": summary.frequencies.tolist(),
         "written_to": args.out,
-    }, indent=2))
+    })
 
 
 def _params_from_config(cfg: dict) -> tuple[ExpFamilySpec, TargetLawParams]:
@@ -225,8 +233,7 @@ def _cmd_identify(args):
     from .identify import (CASE_STUDIES, build_jacobian, case_study,
                            full_law_verdict, sufficient_knowledge_search)
     if args.list_cases:
-        print(json.dumps({name: c.summary for name, c in CASE_STUDIES.items()},
-                         indent=2))
+        _emit({name: c.summary for name, c in CASE_STUDIES.items()}, args.out)
         return
     cfg = _load_config(args)
     if args.case is None and not cfg:
@@ -248,7 +255,7 @@ def _cmd_identify(args):
             report = build_jacobian(spec, params, support)
     verdict = full_law_verdict(spec)
     report = sufficient_knowledge_search(report, args.max_set_size)
-    payload = {
+    _emit({
         "param_names": list(report.param_names),
         "j_matrix": report.j_matrix.tolist(),
         "singular_values": report.singular_values.tolist(),
@@ -263,11 +270,7 @@ def _cmd_identify(args):
             "completeness_holds": verdict.completeness_holds,
             "notes": verdict.notes,
         },
-    }
-    if args.out:
-        from .dataio import save_report
-        save_report(payload, args.out)
-    print(json.dumps(payload, indent=2))
+    }, args.out)
 
 
 def _parse_known(spec: str | None) -> dict:
@@ -290,7 +293,7 @@ def _cmd_estimate(args):
     known = _parse_known(args.known)
     if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
         raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
-    from .dataio import load_dataset, save_report
+    from .dataio import load_dataset
     from .model import or_from_theta
     data = load_dataset(args.data)
     payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
@@ -354,9 +357,7 @@ def _cmd_estimate(args):
         or_unit = None if args.sigma2 is None else odds_ratio(res, args.sigma2)
         if or_unit is not None:
             payload["or_unit_contrast"] = or_unit
-    if args.out:
-        save_report(payload, args.out)
-    print(json.dumps(payload, indent=2, default=float))
+    _emit(payload, args.out)
 
 
 def _cmd_experiment(args):
@@ -364,40 +365,28 @@ def _cmd_experiment(args):
     cfg = _load_config(args)
     if not cfg:
         raise ConfigError("experiment needs a --config JSON file")
-    with _config_entries("experiment"):
-        config = ExperimentConfig(
-            sweep=cfg["sweep"], values=cfg["values"],
-            methods=cfg.get("methods", ("pseudolik", "gee_nonoptimal", "gee_optimal")),
-            replicates=cfg.get("replicates", 100),
-            base_seed=cfg.get("base_seed", args.seed),
-            n_total=cfg.get("n_total", 1000),
-            known=cfg.get("known", {}),
-            threads=args.threads,
-        )
+    with _config_entries("experiment"):   # an unknown key is a TypeError
+        config = ExperimentConfig(**{"base_seed": args.seed, **cfg},
+                                  threads=args.threads)
     summary = run_experiment(config)
     if args.out:
         write_summary(summary, args.out)
-    rows = summary.tidy_records()
-    print(json.dumps(rows[: min(len(rows), 2000)], indent=2))
+    _emit(summary.tidy_records())
 
 
 def _cmd_counterexample(args):
     from .counterexample import verify_counterexample
-    report = verify_counterexample(step=args.step, quad_tol=args.quad_tol)
-    payload = {
+    report = verify_counterexample(step=args.step)
+    _emit({
         "max_abs_discrepancy": report.max_abs_discrepancy,
         "target_law_variances": list(report.target_law_variances),
         "observed_laws_match": report.observed_laws_match,
         "grid": list(report.grid),
-    }
-    if args.out:
-        from .dataio import save_report
-        save_report(payload, args.out)
-    print(json.dumps(payload, indent=2))
+    }, args.out)
 
 
 def _cmd_bootstrap(args):
-    from .dataio import load_dataset, save_report
+    from .dataio import load_dataset
     from .experiments import bootstrap
     data = load_dataset(args.data)
     if args.method == "pseudolik":
@@ -424,11 +413,8 @@ def _cmd_bootstrap(args):
             return dict(zip(res.param_names, res.theta_hat.tolist()))
 
     boot = bootstrap(data, fit, args.resamples, args.seed)
-    payload = {"se": boot.se, "n_failed": boot.n_failed,
-               "n_resamples": boot.n_resamples}
-    if args.out:
-        save_report(payload, args.out)
-    print(json.dumps(payload, indent=2))
+    _emit({"se": boot.se, "n_failed": boot.n_failed,
+           "n_resamples": boot.n_resamples}, args.out)
 
 
 if __name__ == "__main__":

@@ -212,8 +212,7 @@ def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dic
     return est, ses
 
 
-def run_experiment(config: ExperimentConfig, output_prefix=None
-                  ) -> ReplicationSummary:
+def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     points = sweep_points(config)
     estimates: dict = {}
     stats: dict = {}
@@ -254,12 +253,8 @@ def run_experiment(config: ExperimentConfig, output_prefix=None
                     vals, ses_arr, truth, n_failed)
                 estimates[(point.label, method, param)] = vals
 
-    summary = ReplicationSummary(config=config, truths=truths,
-                                 estimates=estimates, stats=stats,
-                                 failures=failures)
-    if output_prefix is not None:
-        write_summary(summary, output_prefix)
-    return summary
+    return ReplicationSummary(config=config, truths=truths, estimates=estimates,
+                              stats=stats, failures=failures)
 
 
 def _map_replicates(fn, replicates, threads):

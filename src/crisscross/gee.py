@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import DataError, DomainError, NumericalError
+from .errors import DataError, DomainError, NumericalError, SeparationError
 from .families import expit
 from .glm import LogisticFit
-from .model import ObservedDataset, newton, or_from_theta
+from .model import ObservedDataset, newton, norm, or_from_theta
 
 PROPENSITY_FLOOR = 1e-6
 ROOT_TOL = 1e-10
@@ -53,32 +53,30 @@ class PropensityModel:
     """p(R_y = 1 | R_x = 1, X = x) = expit(c0 + c1 x)."""
 
     coefficients: np.ndarray
-    fitted: bool
     converged: bool
     separation_flag: bool
 
     def pi(self, x):
-        if not self.fitted:
-            raise NumericalError("propensity model has no finite fit")
         c0, c1 = self.coefficients
         return expit(c0 + c1 * np.asarray(x, dtype=float))
 
     @staticmethod
     def known(coefficients) -> "PropensityModel":
-        return PropensityModel(np.asarray(coefficients, dtype=float), fitted=True,
+        return PropensityModel(np.asarray(coefficients, dtype=float),
                                converged=True, separation_flag=False)
 
 
 def fit_propensity(data: ObservedDataset) -> PropensityModel:
-    """Logistic regression of R_y on X among rows with R_x = 1."""
+    """Logistic regression of R_y on X among rows with R_x = 1; a constant
+    R_y there has no finite fit and raises SeparationError."""
     m = data.r_x == 1
     if not np.any(m):
         raise DataError("no rows with r_x = 1")
     x = data.x[m]
     t = data.r_y[m].astype(float)
     if np.all(t == t[0]):
-        return PropensityModel(np.full(2, np.nan), fitted=False, converged=False,
-                               separation_flag=True)
+        raise SeparationError(f"propensity fit: r_y is {t[0]:g} on every r_x = 1 row",
+                              direction=1 if t[0] else -1)
     if np.all(x == x[0]):
         # saturated null model: intercept-only, logit of the observed rate
         rate = float(np.mean(t))
@@ -86,7 +84,7 @@ def fit_propensity(data: ObservedDataset) -> PropensityModel:
         return PropensityModel.known(coef)
     from .glm import fit_logistic   # read at call time, like a wrapper patched onto glm
     fit: LogisticFit = fit_logistic(np.column_stack([np.ones_like(x), x]), t)
-    return PropensityModel(fit.coef, fitted=True, converged=fit.converged,
+    return PropensityModel(fit.coef, converged=fit.converged,
                            separation_flag=fit.separation_flag)
 
 
@@ -340,7 +338,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
     def evaluate(theta):
         g = _residual(cases, model, theta, data.n_total)
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
-        return -np.linalg.norm(g), g, J
+        return -norm(g), g, J
 
     theta, it, g = newton(evaluate, model.theta0(), 1, ROOT_TOL, "GEE fit")
     c_hat, d_hat, cov = (None, None, None)
@@ -350,7 +348,7 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
         pass
     return GeeResult(theta_hat=theta, param_names=model.free_names,
                      sandwich_cov=cov, c_hat=c_hat, d_hat=d_hat,
-                     residual_norm=float(np.linalg.norm(g)), iterations=it,
+                     residual_norm=norm(g), iterations=it,
                      n_complete=data.n_complete, n_total=data.n_total)
 
 
@@ -360,10 +358,11 @@ def odds_ratio(res: GeeResult, sigma2: float) -> dict | None:
     if "beta" not in res.param_names:
         return None
     j = res.param_names.index("beta")
-    theta = res.theta_hat[j] / sigma2
+    # Python floats: a tiny sigma2 overflows theta to inf without a warning
+    theta = float(res.theta_hat[j]) / sigma2
     if res.sandwich_cov is None:
         return {"point": or_from_theta(theta, 0.0)[0]}
-    point, se = or_from_theta(theta, res.se()[j] / sigma2)
+    point, se = or_from_theta(theta, float(res.se()[j]) / sigma2)
     return {"point": point, "se": se}
 
 

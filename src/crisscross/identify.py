@@ -397,9 +397,6 @@ class CaseStudy:
     spec: ExpFamilySpec
     summary: str
 
-    def verdict(self) -> FullLawVerdict:
-        return full_law_verdict(self.spec)
-
 
 def _bivariate_jacobian(theta: dict, support=None) -> JacobianReport:
     """Rows: derivatives of the identified conditional functionals

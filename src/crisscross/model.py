@@ -123,7 +123,8 @@ class MissingnessMechanism:
 
 @dataclass(frozen=True)
 class ObservedDataset:
-    """Coarsened records: x is NaN iff r_x = 0 and y is NaN iff r_y = 0."""
+    """Coarsened records: x is NaN iff r_x = 0 and y is NaN iff r_y = 0, and
+    every present value is finite."""
 
     x: np.ndarray
     y: np.ndarray
@@ -143,6 +144,8 @@ class ObservedDataset:
             raise DataError("coarsening violated: x present iff r_x = 1")
         if np.any(np.isnan(y) != (r_y == 0)):
             raise DataError("coarsening violated: y present iff r_y = 1")
+        if np.any(np.isinf(x)) or np.any(np.isinf(y)):
+            raise DataError("present values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "r_x", r_x)
@@ -223,6 +226,11 @@ def or_from_theta(theta_hat: float, theta_se: float, contrast: float = 1.0
     return point, se
 
 
+def norm(v) -> float:
+    """Euclidean norm; math.hypot scales where np.linalg.norm squares and overflows."""
+    return math.hypot(*np.ravel(v))
+
+
 def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
     """Damped Newton iteration toward a root of g from theta0, where
     evaluate(theta) = (merit, g, J = dg/dtheta); returns (theta, iterations,
@@ -246,9 +254,8 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{label}: singular Newton system: {exc}") from exc
         step = step.reshape(np.shape(theta))
-        size = np.linalg.norm(theta)
-        if (np.linalg.norm(g) / n_terms <= tol
-                and np.linalg.norm(step) <= 1e-6 * max(1.0, size)):
+        size = norm(theta)
+        if norm(g) / n_terms <= tol and norm(step) <= 1e-6 * max(1.0, size):
             return theta, it, g
         scale, slack = 1.0, 1e-12 * max(1.0, abs(merit))
         for _ in range(51):
@@ -258,7 +265,7 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
             scale, slack = 0.5 * scale, 0.0
         else:
             break
-        if np.linalg.norm(scale * step) <= 1e-15 * max(1.0, size):
+        if norm(scale * step) <= 1e-15 * max(1.0, size):
             break
         theta = theta + scale * step
         merit, g, J = cand

@@ -142,24 +142,6 @@ def _workspace(n):
     return rows, np.tri(rows, dtype=bool), raw[start:start + 5 * width].reshape(5, width)
 
 
-def _blocks(xc, yc, ws):
-    """Yield (r0, views): five (m, n - r0) views of the workspace buffer.
-    The first is d[a, b] = d_ik for i = r0 + a, k = r0 + b, a block of rows
-    by the columns from r0 on, zero on and below the diagonal; the other
-    four are scratch for the pass."""
-    n = len(xc)
-    rows, lower, buf = ws
-    for r0 in range(0, n - 1, rows):
-        m = min(rows, n - r0)
-        views = [b[:m * (n - r0)].reshape(m, n - r0) for b in buf]
-        d, dy = views[:2]
-        np.subtract.outer(xc[r0:r0 + m], xc[r0:], out=d)
-        np.subtract.outer(yc[r0:r0 + m], yc[r0:], out=dy)
-        d *= dy
-        d[:, :m][lower[:m, :m]] = 0.0
-        yield r0, views
-
-
 class _PairSums(NamedTuple):
     loglik: float       # -sum softplus(-theta d), + log 2 per tied pair
     score: float        # sum d sigma
@@ -170,18 +152,29 @@ class _PairSums(NamedTuple):
 def _pass(x, y, w, theta, ws, ties=0, rows=False) -> _PairSums:
     """One kernel pass at theta over the cells (x, y, w) of ``_cells`` in the
     workspace ws, by the module docstring's per-cell identity; ties counts
-    the pairs tied in y, which drop out.  The d block is clipped in place to
-    c = s m = min(d, 0) (max(d, 0) for theta < 0), so softplus(-theta d)
-    = log1p(e) - theta c and d sigma = s r e + c = -zeta.  Each block sum
-    is wr @ (B @ wc) over the rows' and the columns' counts."""
+    the pairs tied in y, which drop out.  A block is rows r0 .. r0 + m by
+    the columns from r0 on, five (m, n - r0) views of the workspace buffer.
+    Its d[a, b] = d_ik for i = r0 + a, k = r0 + b, zero on and below the
+    diagonal, is clipped in place to c = s m = min(d, 0) (max(d, 0) for
+    theta < 0), so softplus(-theta d) = log1p(e) - theta c and d sigma
+    = s r e + c = -zeta.  Each block sum is wr @ (B @ wc) over the rows'
+    and the columns' counts."""
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
     clip = np.minimum if s > 0 else np.maximum
     sum_c = sum_log = sum_re = sum_h = zeta_sq = cells = 0.0
-    zeta_rows = np.zeros(len(x)) if rows else None
-    # r first holds the y differences and log1p(e), and c overwrites d, so a
-    # pass without row sums keeps four block arrays in cache, not five
-    for r0, (d, r, ad, e, zeta) in _blocks(x, y, ws):
-        wr, wc = w[r0:r0 + len(d)], w[r0:]
+    n = len(x)
+    step, lower, buf = ws
+    zeta_rows = np.zeros(n) if rows else None
+    for r0 in range(0, n - 1, step):
+        m = min(step, n - r0)
+        # r first holds the y differences and log1p(e), and c overwrites d,
+        # so a pass without row sums keeps four block arrays in cache, not five
+        d, r, ad, e, zeta = (b[:m * (n - r0)].reshape(m, n - r0) for b in buf)
+        np.subtract.outer(x[r0:r0 + m], x[r0:], out=d)
+        np.subtract.outer(y[r0:r0 + m], y[r0:], out=r)
+        d *= r
+        d[:, :m][lower[:m, :m]] = 0.0
+        wr, wc = w[r0:r0 + m], w[r0:]
         cells += wr.sum() * wc.sum()
         np.abs(d, out=ad)
         c = clip(d, 0.0, out=d)
@@ -196,7 +189,7 @@ def _pass(x, y, w, theta, ws, ties=0, rows=False) -> _PairSums:
         if rows:        # zeta = -(s r e + c)
             np.multiply(re, -s, out=zeta)
             zeta -= c
-            zeta_rows[r0:r0 + len(c)] += zeta @ wc
+            zeta_rows[r0:r0 + m] += zeta @ wc
             zeta_rows[r0:] += wr @ zeta
             zeta *= zeta
             zeta_sq += wr @ (zeta @ wc)

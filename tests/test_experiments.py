@@ -18,8 +18,8 @@ def small_config(**kw):
 
 def test_run_is_reproducible_byte_identical(tmp_path):
     cfg = small_config(replicates=1)
-    cc.run_experiment(cfg, output_prefix=tmp_path / "a")
-    cc.run_experiment(cfg, output_prefix=tmp_path / "b")
+    cc.write_summary(cc.run_experiment(cfg), tmp_path / "a")
+    cc.write_summary(cc.run_experiment(cfg), tmp_path / "b")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -139,8 +139,8 @@ def test_config_validation():
 
 
 def test_tidy_csv_layout(tmp_path):
-    cc.run_experiment(small_config(methods=("pseudolik",)),
-                      output_prefix=tmp_path / "out")
+    cc.write_summary(cc.run_experiment(small_config(methods=("pseudolik",))),
+                     tmp_path / "out")
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert lines[0] == "sweep_point,method,parameter,statistic,value"
     assert any(line.startswith("N=300,pseudolik,theta,bias,") for line in lines)

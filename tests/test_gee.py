@@ -31,11 +31,16 @@ def test_fit_propensity_recovers_mechanism():
 
 
 def test_fit_propensity_separation_flag():
+    # r_y = 1 on every r_x = 1 row: the intercept runs off to +inf
     data = make_dataset([0.1, 0.9, 1.4], [1.0, 2.0, 3.0], [1, 1, 1], [1, 1, 1])
-    model = cc.fit_propensity(data)
-    assert model.separation_flag and not model.fitted
-    with pytest.raises(cc.NumericalError):
-        model.pi(0.0)
+    with pytest.raises(cc.SeparationError, match="r_y is 1") as exc:
+        cc.fit_propensity(data)
+    assert exc.value.direction == 1
+    # and r_y = 0 on all of them, to -inf
+    data = make_dataset([0.1, 0.9, np.nan], [np.nan, np.nan, 3.0], [1, 1, 0], [0, 0, 1])
+    with pytest.raises(cc.SeparationError, match="r_y is 0") as exc:
+        cc.fit_propensity(data)
+    assert exc.value.direction == -1
 
 
 def test_fit_propensity_constant_x_saturated_null():

@@ -351,10 +351,10 @@ def test_full_law_verdicts():
     yes = ("bivariate_normal", "binary", "bernoulli_normal", "poisson_normal",
            "exponential_normal", "multivariate_normal", "multinomial")
     for name in yes:
-        v = case_study(name).verdict()
+        v = cc.full_law_verdict(case_study(name).spec)
         assert v.exp_family_conditional and v.completeness_holds == "yes"
     for name in ("normal_inverse", "exponential_exponential"):
-        v = case_study(name).verdict()
+        v = cc.full_law_verdict(case_study(name).spec)
         assert not v.exp_family_conditional and v.completeness_holds == "unknown"
 
 

@@ -182,6 +182,14 @@ def test_dataset_coarsening_enforced():
                            np.array([1]), np.array([1]))
 
 
+def test_dataset_present_values_must_be_finite():
+    # rejected here, naming the data, not later as a fit that cannot converge
+    for x, y in ((np.inf, 1.0), (1.0, -np.inf)):
+        with pytest.raises(cc.DataError, match="present values must be finite"):
+            cc.ObservedDataset(np.array([x, 0.5]), np.array([y, 2.0]),
+                               np.array([1, 1]), np.array([1, 1]))
+
+
 def test_newton_keeps_iterating_while_a_step_is_pending(monkeypatch):
     # merit -(5 - t)^2 / 2 scaled by 1e-12: its score 1e-12 (5 - t) passes
     # the score test everywhere near its maximizer t = 5
