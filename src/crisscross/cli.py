@@ -102,9 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fix a mean-model coefficient, e.g. alpha=-1.4")
     p.add_argument("--sigma2", type=float, default=None,
                    help="known conditional variance of X|Y (optimal GEE, OR scale)")
-    p.add_argument("--binary", action="store_true",
-                   help="binary 2x2 workflow (requires --theta11)")
-    p.add_argument("--theta11", type=float, default=None)
+    p.add_argument("--theta11", type=float, default=None,
+                   help="known cell p(X = 1, Y = 1): the binary 2x2 GEE workflow")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a seeded replication study")
@@ -122,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", type=str)
     p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
     p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--theta11", type=float, default=None)
-    p.add_argument("--binary", action="store_true")
+    p.add_argument("--theta11", type=float, default=None,
+                   help="known cell p(X = 1, Y = 1): the binary 2x2 GEE workflow")
     p.set_defaults(handler=_cmd_bootstrap)
 
     return parser
@@ -176,13 +175,13 @@ def _config_entries(command: str):
         raise ConfigError(f"bad {command} config entry: {exc}") from None
 
 
-def _mechanism(cfg: dict, misspecified=False) -> MissingnessMechanism:
+def _mechanism(cfg: dict, misspecified: bool) -> MissingnessMechanism:
     from .model import MissingnessMechanism
+    from .simulate import MISSPECIFIED_MECHANISM, SECTION61_MECHANISM
     if "mechanism" in cfg:
         m = cfg["mechanism"]
         return MissingnessMechanism(tuple(m["rx_given_y"]), tuple(m["ry_given_x_rx"]))
-    ry = (2.0, -1.0, 0.7, 0.2) if misspecified else (2.0, -1.0, 0.7)
-    return MissingnessMechanism((-0.5, 1.0), ry)
+    return MISSPECIFIED_MECHANISM if misspecified else SECTION61_MECHANISM
 
 
 def _cmd_simulate(args):
@@ -190,7 +189,7 @@ def _cmd_simulate(args):
                            missingness_summary, simulate_dataset)
     cfg = _load_config(args)
     with _config_entries("simulate"):
-        mech = _mechanism(cfg, getattr(args, "misspecified", False))
+        mech = _mechanism(cfg, args.misspecified)
         if not args.binary:
             target = BivariateNormalTarget(**cfg.get("target", {"rho": args.rho}))
             target.conditional()        # its domain checks, before any draw
@@ -318,9 +317,7 @@ def _cmd_estimate(args):
                             "iterations": res.iterations,
                             "converged": True})
             payload["or_unit_contrast"] = {"point": or_from_theta(res.theta_hat, 0.0)[0]}
-    elif args.binary:
-        if args.theta11 is None:
-            raise ConfigError("binary estimation needs --theta11")
+    elif args.theta11 is not None:
         from .gee import estimate_binary_2x2, fit_propensity
         res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
         payload.update({
@@ -395,9 +392,7 @@ def _cmd_bootstrap(args):
         def fit(d):
             theta = fit_pairwise(build_pairs(d)).theta_hat
             return {"theta": theta, "log_or": theta}
-    elif args.binary:
-        if args.theta11 is None:
-            raise ConfigError("binary bootstrap needs --theta11")
+    elif args.theta11 is not None:
         from .gee import estimate_binary_2x2, fit_propensity
 
         def fit(d):

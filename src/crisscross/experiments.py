@@ -160,19 +160,13 @@ class ReplicationSummary:
     def tidy_records(self) -> list[dict]:
         rows = []
         for (label, method, param), cs in self.stats.items():
-            for stat_name in ("bias", "sd", "mse", "mean_se"):
+            for stat_name in ("bias", "sd", "mse", "mean_se", "n_converged", "n_failed"):
                 val = getattr(cs, stat_name)
                 if val is None:
                     continue
                 rows.append({"sweep_point": label, "method": method,
                              "parameter": param, "statistic": stat_name,
                              "value": val})
-            rows.append({"sweep_point": label, "method": method,
-                         "parameter": param, "statistic": "n_converged",
-                         "value": cs.n_converged})
-            rows.append({"sweep_point": label, "method": method,
-                         "parameter": param, "statistic": "n_failed",
-                         "value": cs.n_failed})
         return rows
 
 

@@ -14,18 +14,21 @@ theta; the efficient choice is
 with the inner conditional expectation computed against the fitted
 parametric X | Y: Gauss-Hermite quadrature (64 nodes) for the normal
 mean model, an exact two-point sum for the binary one.  The asymptotic
-covariance is the sandwich C^{-1} D C^{-T} with
+covariance is the sandwich C^{-T} D C^{-1} with
 
     C = E[R_x R_y / pi(X) a(Y) f(Y)^T],
     D = E[R_x R_y / pi(X)^2 (X - h)^2 f(Y) f(Y)^T],
 
 both estimated by sample means over all N rows (incomplete rows
-contribute exactly zero), so Var(theta_hat) ~= C^{-1} D C^{-T} / N.
+contribute exactly zero), so Var(theta_hat) ~= C^{-T} D C^{-1} / N:
+the estimating function's derivative is -C^T.
 
 Mean models: ``NormalLinear`` (h = alpha + beta y; either coefficient
-may be declared known) and ``Binary2x2`` (X, Y in {1, 2}; the three
-free cells beyond a known theta_11 live on a multinomial-logit scale so
-the simplex constraint never binds).
+may be declared known) and ``Binary2x2`` (X, Y in {1, 2}; theta is the
+pair of shares p(X = 2 | Y = y), so h is linear and the plain-weight root
+is the two inverse-probability-weighted means of X - 1 given Y = y; the
+three free cells beyond a known theta_11 follow from the shares, which
+must leave them inside the open simplex).
 """
 
 from __future__ import annotations
@@ -163,12 +166,8 @@ class NormalLinear:
 
 @dataclass(frozen=True)
 class Binary2x2:
-    """Cell probabilities with theta_11 known; free cells on logit scale.
-
-    theta = (t1, t2) maps to (theta_12, theta_21, theta_22) =
-    (1 - theta_11) * softmax(t1, t2, 0), and
-    h(y) = E[X | Y = y] = 1 + p(X = 2 | Y = y).
-    """
+    """X, Y in {1, 2} with theta_11 known; theta = (p21, p22), the shares
+    p(X = 2 | Y = y), so h(y) = E[X | Y = y] = 1 + theta_y is linear."""
 
     theta11: float
 
@@ -176,58 +175,37 @@ class Binary2x2:
         if not 0 < self.theta11 < 1:
             raise DomainError("theta11 must lie in (0, 1)")
 
-    free_names = ("t1", "t2")
+    free_names = ("p21", "p22")
     dim = 2
 
     def cells(self, theta):
-        t = np.append(np.atleast_1d(theta), 0.0)
-        e = np.exp(t - np.max(t))
-        return (1.0 - self.theta11) * e / e.sum()          # (th12, th21, th22)
-
-    def _divisor_cells(self, theta):
-        """cells(theta) for h, a and the law of X | Y, which divide by
-        th12 + th22 and its square; raises once that square underflows."""
-        cells = self.cells(theta)
-        if not (cells[0] + cells[2]) ** 2 > 0:
-            raise NumericalError("Binary2x2: cells theta_12 + theta_22 underflow to 0")
-        return cells
+        """(theta_12, theta_21, theta_22) for shares 0 < p21 < 1 - theta_11
+        and 0 < p22 < 1."""
+        p21, p22 = theta
+        th21 = self.theta11 * p21 / (1.0 - p21)
+        rest = 1.0 - self.theta11 - th21
+        return np.array([rest * (1.0 - p22), th21, rest * p22])
 
     def h(self, y, theta):
-        th12, th21, th22 = self._divisor_cells(theta)
-        h1 = 1.0 + th21 / (self.theta11 + th21)
-        h2 = 1.0 + th22 / (th12 + th22)
-        y = np.asarray(y, dtype=float)
-        return np.where(y == 1.0, h1, h2)
+        return 1.0 + self.a(y, theta) @ np.asarray(theta, dtype=float)
 
     def a(self, y, theta):
-        cells = self._divisor_cells(theta)
-        th12, th21, th22 = cells
-        share = cells / (1.0 - self.theta11)
-        # softmax chain rule, reference coordinate t3 fixed at 0:
-        # d cells_j / d t_m = cells_j (1{j=m} - share_m)
-        dc = cells[:, None] * (np.eye(3)[:, :2] - share[None, :2])
-        dh1_dc = np.array([0.0, self.theta11 / (self.theta11 + th21) ** 2, 0.0])
-        dh2_dc = np.array([-th22 / (th12 + th22) ** 2, 0.0,
-                           th12 / (th12 + th22) ** 2])
         y = np.asarray(y, dtype=float)
-        return np.where((y == 1.0)[:, None], (dh1_dc @ dc)[None, :],
-                        (dh2_dc @ dc)[None, :])
+        return np.column_stack([y == 1.0, y == 2.0]).astype(float)
 
     def theta0(self) -> np.ndarray:
         return np.zeros(2)
 
     def conditional_x_nodes(self, y, theta):
         """Exact two-point law of X in {1, 2} given Y = y."""
-        th12, th21, th22 = self._divisor_cells(theta)
-        y = np.asarray(y, dtype=float)
-        p2 = np.where(y == 1.0, th21 / (self.theta11 + th21), th22 / (th12 + th22))
-        nodes = np.column_stack([np.ones_like(y), np.full_like(y, 2.0)])
+        p2 = self.h(y, theta) - 1.0
+        nodes = np.column_stack([np.ones_like(p2), np.full_like(p2, 2.0)])
         weights = np.column_stack([1.0 - p2, p2])
         return nodes, weights
 
     def log_odds_ratio(self, theta) -> float:
-        th12, th21, th22 = self.cells(theta)
-        return float(np.log(self.theta11 * th22 / (th12 * th21)))
+        p21, p22 = theta
+        return math.log(p22 / (1.0 - p22)) - math.log(p21 / (1.0 - p21))
 
 
 # --------------------------------------------------------------------- #
@@ -236,13 +214,10 @@ class Binary2x2:
 
 @dataclass(frozen=True)
 class NonOptimalF:
-    """The plain weight: (1, y) in two-parameter models, a(y) otherwise."""
+    """The plain weight f(y) = a(y)."""
 
     def values(self, y, model):
-        y = np.asarray(y, dtype=float)
-        if isinstance(model, Binary2x2):
-            return np.column_stack([np.ones_like(y), y])
-        return model.a(y, model.theta0())
+        return model.a(np.asarray(y, dtype=float), model.theta0())
 
 
 @dataclass(frozen=True)
@@ -368,7 +343,7 @@ def odds_ratio(res: GeeResult, sigma2: float) -> dict | None:
 
 def sandwich_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,
                  theta_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C_hat, D_hat, C^{-1} D C^{-T}); divide by N for Var(theta_hat)."""
+    """(C_hat, D_hat, C^{-T} D C^{-1}); divide by N for Var(theta_hat)."""
     return _sandwich(_weighted_cases(data, model, pi_model, f), model, theta_hat,
                      data.n_total)
 
@@ -383,7 +358,8 @@ def _sandwich(cases, model, theta_hat, N):
         c_inv = np.linalg.inv(c_hat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular C matrix: {exc}") from exc
-    cov = c_inv @ d_hat @ c_inv.T
+    # the estimating function's derivative is -C^T
+    cov = c_inv.T @ d_hat @ c_inv
     cov = 0.5 * (cov + cov.T)
     var = np.diag(cov)
     if not np.all(np.isfinite(var) & (var > 0)):
@@ -406,21 +382,20 @@ class Binary2x2Result:
 
 def estimate_binary_2x2(data: ObservedDataset, theta11_known: float,
                         pi_model: PropensityModel) -> Binary2x2Result:
-    """Plain-weight GEE for the free cells given theta_11; log OR, delta SE."""
+    """Plain-weight GEE for the shares given theta_11; cells, log OR, delta SE."""
     xy = np.concatenate([data.x[data.r_x == 1], data.y[data.r_y == 1]])
     if not np.all(np.isin(xy, (1.0, 2.0))):
         raise DataError("binary workflow expects X, Y coded in {1, 2}")
     model = Binary2x2(theta11_known)
     res = solve_gee(data, model, pi_model, NonOptimalF())
-    cells = model.cells(res.theta_hat)
-    if np.any(cells <= 0) or np.any(cells >= 1):
+    p21, p22 = res.theta_hat
+    if not (0 < p21 < 1.0 - theta11_known and 0 < p22 < 1):
         raise NumericalError("estimated cells left (0, 1)")
-    logor = model.log_odds_ratio(res.theta_hat)
     se = None
     if res.sandwich_cov is not None:
-        # d log OR / d t_m = share_m - 1, the softmax chain rule of Binary2x2.a
-        grad = cells[:2] / (1.0 - theta11_known) - 1.0
+        grad = np.array([-1.0 / (p21 * (1.0 - p21)), 1.0 / (p22 * (1.0 - p22))])
         var = grad @ (res.sandwich_cov / data.n_total) @ grad
         se = float(np.sqrt(max(var, 0.0)))
-    return Binary2x2Result(theta11=theta11_known, cells=cells,
-                           log_odds_ratio=logor, log_odds_ratio_se=se, gee=res)
+    return Binary2x2Result(theta11=theta11_known, cells=model.cells(res.theta_hat),
+                           log_odds_ratio=model.log_odds_ratio(res.theta_hat),
+                           log_odds_ratio_se=se, gee=res)

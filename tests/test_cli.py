@@ -451,36 +451,53 @@ def _raise_spy(fit, errors):
     return spy
 
 
-# seven binary rows whose 2x2 estimating equation runs the free cells to the
-# boundary: the Newton iteration ends at its cap with log OR near -38.6
+# seven binary rows whose 2x2 estimating equation has its root at the share
+# p(X = 2 | Y = 2) = 0, outside the open simplex
 UNCONVERGED_2X2 = "x,y,r_x,r_y\n1,2,1,1\n1,2,1,1\n2,1,1,1\n2,,1,0\n,1,0,1\n1,1,1,1\n2,1,1,1\n"
 
 
 def test_gee_fit_away_from_its_root_exits_4(tmp_path, capsys):
     path = tmp_path / "unconverged.csv"
     path.write_text(UNCONVERGED_2X2)
-    argv = ["estimate", str(path), "--method", "gee", "--binary", "--theta11", "0.25"]
+    argv = ["estimate", str(path), "--method", "gee", "--theta11", "0.25"]
     assert main(argv) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and "GEE fit did not converge" in captured.err
+    assert captured.out == "" and "estimated cells left (0, 1)" in captured.err
+
+
+def test_binary_fit_outside_the_simplex_raises_after_one_step(tmp_path, monkeypatch):
+    # the residual is linear in the shares: the start and the one Newton
+    # step that lands on the root are its only evaluations
+    import crisscross.gee as gee
+    path = tmp_path / "unconverged.csv"
+    path.write_text(UNCONVERGED_2X2)
+    data = cc.load_dataset(path)
+    calls = []
+    residual = gee._residual
+    monkeypatch.setattr(gee, "_residual", lambda *args: calls.append(1) or residual(*args))
+    with pytest.raises(cc.NumericalError, match=r"left \(0, 1\)"):
+        cc.estimate_binary_2x2(data, 0.25, cc.fit_propensity(data))
+    assert len(calls) <= 2
 
 
 def test_bootstrap_counts_an_unconverged_gee_fit_as_failed(tmp_path, capsys, monkeypatch):
-    # 17 of these 20 resamples fail on their data, 9 of them in the propensity
-    # fit before solve_gee; the other 3 end with an unconverged estimating
-    # equation, so no resample succeeds
+    # 9 of these 20 resamples fail in the propensity fit before
+    # estimate_binary_2x2, 2 on a y level with no complete case (a singular
+    # Newton system), and the root of the other 9 lies outside the open
+    # simplex, so none succeeds
     import crisscross.gee as gee
     errors = []
-    monkeypatch.setattr(gee, "solve_gee", _raise_spy(gee.solve_gee, errors))
+    monkeypatch.setattr(gee, "estimate_binary_2x2",
+                        _raise_spy(gee.estimate_binary_2x2, errors))
     path = tmp_path / "unconverged.csv"
     path.write_text(UNCONVERGED_2X2)
-    argv = ["bootstrap", str(path), "--method", "gee", "--binary", "--theta11", "0.25",
+    argv = ["bootstrap", str(path), "--method", "gee", "--theta11", "0.25",
             "--resamples", "20", "--seed", "5"]
     assert main(argv) == 3
     assert "20 of 20 bootstrap resamples failed" in capsys.readouterr().err
     assert len(errors) == 11
-    assert sum(e.startswith("GEE fit did not converge") and "after 100 iterations" in e
-               for e in errors) == 3
+    assert errors.count("estimated cells left (0, 1)") == 9
+    assert sum("singular Newton system" in e for e in errors) == 2
 
 
 STUDIES = Path(__file__).resolve().parent.parent / "studies"

@@ -27,7 +27,7 @@ COMMANDS = (
     ["estimate", "--method", "pseudolik", "--group-size", "3"],
     ["estimate", "--method", "gee"],
     ["estimate", "--method", "gee", "--f", "optimal", "--sigma2", "8.19"],
-    ["estimate", "--method", "gee", "--binary", "--theta11", "0.4"],
+    ["estimate", "--method", "gee", "--theta11", "0.4"],
     ["bootstrap", "--method", "pseudolik", "--resamples", "3"],
     ["bootstrap", "--method", "gee", "--resamples", "3"],
 )

@@ -196,20 +196,14 @@ def test_optimal_weight_constant_inner_expectation_matches_nonoptimal_root():
 
 def test_optimal_weight_binary_two_point_sum_matches_enumeration():
     model = cc.Binary2x2(0.25)
-    theta = np.array([0.2, -0.4])
+    theta = np.array([0.3, 0.6])         # p(X = 2 | Y = 1), p(X = 2 | Y = 2)
     fopt = cc.OptimalF(pi_model=PI_ONE, theta_pilot=theta)
     y = np.array([1.0, 2.0])
     vals = fopt.values(y, model)
-    cells = model.cells(theta)
-    th12, th21, th22 = cells
-    for row, yv in enumerate(y):
-        if yv == 1.0:
-            p2 = th21 / (0.25 + th21)
-        else:
-            p2 = th22 / (th12 + th22)
+    for row, p2 in enumerate(theta):
         h = 1.0 + p2
         inner = (1.0 - p2) * (1.0 - h) ** 2 + p2 * (2.0 - h) ** 2
-        expected = model.a(np.array([yv]), theta)[0] / inner
+        expected = np.eye(2)[row] / inner
         assert np.allclose(vals[row], expected, rtol=1e-10)
 
 
@@ -266,6 +260,33 @@ def test_sandwich_matrices_are_psd(section61_small):
     assert np.all(np.linalg.eigvalsh(res.sandwich_cov) >= -1e-10)
     assert np.allclose(res.sandwich_cov, res.sandwich_cov.T)
     assert np.all(np.isfinite(res.c_hat))
+
+
+class SquareF:
+    """A caller's own weight f(y) = (1, y^2), for which C is not symmetric."""
+
+    def values(self, y, model):
+        return np.column_stack([np.ones_like(y), y ** 2])
+
+
+def test_sandwich_matches_a_finite_difference_jacobian():
+    # Var(theta_hat) = J^{-1} D J^{-T} / N with J the residual's Jacobian;
+    # the residual is linear in theta, so central differences give J
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               4000, seed=3)
+    data = cc.simulate_dataset(config).observed
+    pi = cc.fit_propensity(data)
+    model = cc.NormalLinear()
+    res = cc.solve_gee(data, model, pi, SquareF())
+    jac = np.column_stack([
+        (cc.gee_residual(data, model, pi, SquareF(), res.theta_hat + step)
+         - cc.gee_residual(data, model, pi, SquareF(), res.theta_hat - step)) / 2e-5
+        for step in 1e-5 * np.eye(2)])
+    x, y = data.complete_xy()
+    terms = SquareF().values(y, model) * ((x - model.h(y, res.theta_hat)) / pi.pi(x))[:, None]
+    j_inv = np.linalg.inv(jac)
+    cov = j_inv @ (terms.T @ terms / data.n_total) @ j_inv.T
+    assert np.allclose(res.sandwich_cov, cov, rtol=1e-6, atol=0)
 
 
 class CountingF:
@@ -350,13 +371,31 @@ def test_binary_estimate_recovers_log_odds_ratio():
 def test_binary_log_or_se_is_the_exact_delta_method(n, seed):
     data = cc.simulate_binary(BINARY_TRUTH, BINARY_MECH, n, seed).observed
     res = cc.estimate_binary_2x2(data, 0.723, cc.fit_propensity(data))
-    th12, th21, th22 = cells = res.cells
-    # log OR = log(theta11 th22 / (th12 th21)); cells = (1 - theta11) softmax(t1, t2, 0)
-    dlogor_dcells = np.array([-1.0 / th12, -1.0 / th21, 1.0 / th22])
-    dcells_dt = np.diag(cells)[:, :2] - np.outer(cells, cells[:2]) / (1.0 - 0.723)
-    grad = dlogor_dcells @ dcells_dt
+    th12, th21, th22 = res.cells
+    # log OR = logit(p22) - logit(p21), with the shares p(X = 2 | Y = y)
+    p21, p22 = th21 / (0.723 + th21), th22 / (th12 + th22)
+    grad = np.array([-1.0 / (p21 * (1 - p21)), 1.0 / (p22 * (1 - p22))])
     se = math.sqrt(grad @ res.gee.sandwich_cov @ grad / data.n_total)
     assert res.log_odds_ratio_se == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(5000, 7), (200, 11)])
+def test_binary_log_or_se_is_the_influence_function_se(n, seed):
+    # each share is a Hajek mean of x - 1 within one y, weighted by 1 / pi;
+    # with pi held fixed a record's influence on it is its weighted residual
+    # over that y's weight total, carried to the log OR by d logit(p) / dp
+    data = cc.simulate_binary(BINARY_TRUTH, BINARY_MECH, n, seed).observed
+    pi_model = cc.fit_propensity(data)
+    res = cc.estimate_binary_2x2(data, 0.723, pi_model)
+    x, y = data.complete_xy()
+    w = 1.0 / pi_model.pi(x)
+    influence = np.zeros(len(x))
+    for level, sign in ((1.0, -1.0), (2.0, 1.0)):
+        m = y == level
+        p = np.sum(w[m] * (x[m] - 1)) / np.sum(w[m])
+        influence[m] = sign * w[m] * (x[m] - 1 - p) / (np.sum(w[m]) * p * (1 - p))
+    se = math.sqrt(np.sum(influence ** 2))
+    assert res.log_odds_ratio_se == pytest.approx(se, rel=1e-10)
 
 
 def test_binary_no_missingness_matches_renormalized_frequencies():
@@ -387,8 +426,8 @@ def test_binary_matches_grid_oracle_small_sample():
         return np.linalg.norm(cc.gee_residual(sim.observed, model, pi,
                                               cc.NonOptimalF(), np.asarray(t)))
 
-    # staged grid refinement around the coarse minimum; the residual
-    # surface is a curved valley, so keep the windows generous
+    # staged grid refinement around the coarse minimum of the residual
+    # norm, a cone over the shares since the residual is linear in them
     t1 = t2 = np.arange(-4.0, 4.0, 0.05)
     best = min(((a, b) for a in t1 for b in t2), key=norm)
     fine = 0.05
@@ -407,27 +446,15 @@ def test_binary_requires_coding_in_one_two():
         cc.estimate_binary_2x2(data, 0.5, PI_ONE)
 
 
-@pytest.mark.parametrize("t2", [800.0, 380.0])
-def test_binary_cell_underflow_raises_before_dividing(t2):
-    # t2 = 800 leaves theta_12 = theta_22 = 0; at 380 their sum is
-    # positive but its square, which a divides by, underflows
-    model = cc.Binary2x2(0.4)
-    y = np.array([1.0, 2.0])
-    theta = np.array([0.0, t2])
-    for evaluate in (model.h, model.a, model.conditional_x_nodes):
-        with pytest.raises(cc.NumericalError, match="underflow"):
-            evaluate(y, theta)
-
-
 def test_binary_diverging_fit_raises():
-    # three complete cases; the Newton path runs t2 off to +inf, which
-    # used to end in NaN cells and a NaN log odds ratio
+    # three complete cases, all with x = 2: both shares are 1, which
+    # leaves no room for theta_12 + theta_22
     nan = np.nan
     data = make_dataset([2, nan, 1, 2, 2, nan, 2, nan, nan, 2, nan, nan, nan, nan],
                         [1, nan, nan, 2, nan, nan, nan, nan, 1, 2, 2, nan, 1, nan],
                         [1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0],
                         [1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0])
-    with pytest.raises(cc.NumericalError, match="underflow"):
+    with pytest.raises(cc.NumericalError, match=r"left \(0, 1\)"):
         cc.estimate_binary_2x2(data, 0.4, cc.fit_propensity(data))
 
 
