@@ -40,13 +40,21 @@ GRID_LO, GRID_HI = -8.0, 10.0
 # integrals can stop a dozen units past it (each neglected tail < 1e-30)
 _INT_LO, _INT_HI = GRID_LO - 12.0, GRID_HI + 12.0
 _NODES_PER_PANEL = 20
+_BLOCK = 1 << 16        # (row, node) cells per block of a quadrature matrix
 _SQ56 = math.sqrt(5.0 / 6.0)
 _MODEL2_RY0_CONST = math.exp(-8.0 / 9.0) * 2.0 * math.sqrt(3.0) / 5.0
 
 
 def _npdf(z, mu=0.0, var=1.0):
-    return np.exp(-0.5 * (np.asarray(z, dtype=float) - mu) ** 2 / var) \
-        / math.sqrt(2.0 * math.pi * var)
+    """The normal density, computed in place in one array of the
+    broadcast shape of z and mu; a scalar for scalar input."""
+    t = np.asarray(np.subtract(z, mu, dtype=float))
+    np.square(t, out=t)
+    t *= -0.5
+    t /= var
+    np.exp(t, out=t)
+    t /= math.sqrt(2.0 * math.pi * var)
+    return t[()]
 
 
 def _denom(y):
@@ -100,20 +108,32 @@ def _rule(width):
     return nodes, np.tile(0.5 * width * w, len(left))
 
 
+def _row_sums(kernel, rows, v):
+    """kernel(rows[:, None]) @ v over blocks of rows of about ``_BLOCK``
+    cells.  BLAS sums rows in small groups (four at a time in OpenBLAS's
+    gemv), so blocks start at multiples of 32 rows, as the groups of one
+    product over all rows do."""
+    out = np.empty(len(rows))
+    step = max(32, _BLOCK // len(v) // 32 * 32)
+    for r0 in range(0, len(rows), step):
+        out[r0:r0 + step] = kernel(rows[r0:r0 + step, None]) @ v
+    return out
+
+
 def _integrals(model, grid, nodes, weights):
     """Every integrated object of ``model`` under one rule: the (1,0) and
     (0,1) densities on ``grid``, the (0,0) mass and Var(Y)."""
     wy = weights * model.p_y(nodes)
     # pattern (1,0): x on the grid, y integrated out
-    d10 = (model.p_x_given_y(grid[:, None], nodes[None, :])
-           @ (wy * model.p_rx1(nodes))) * (1.0 - model.p_ry1(grid, 1))
+    d10 = _row_sums(lambda x: model.p_x_given_y(x, nodes[None, :]), grid,
+                    wy * model.p_rx1(nodes)) * (1.0 - model.p_ry1(grid, 1))
     # pattern (0,1): y on the grid, x integrated out
     d01 = model.p_y(grid) * (1.0 - model.p_rx1(grid)) \
-        * (model.p_x_given_y(nodes[None, :], grid[:, None])
-           @ (weights * model.p_ry1(nodes, 0)))
+        * _row_sums(lambda y: model.p_x_given_y(nodes[None, :], y), grid,
+                    weights * model.p_ry1(nodes, 0))
     # pattern (0,0): y outer (rows), x inner (columns)
-    inner = model.p_x_given_y(nodes[None, :], nodes[:, None]) \
-        @ (weights * (1.0 - model.p_ry1(nodes, 0)))
+    inner = _row_sums(lambda y: model.p_x_given_y(nodes[None, :], y), nodes,
+                      weights * (1.0 - model.p_ry1(nodes, 0)))
     m00 = (wy * (1.0 - model.p_rx1(nodes))) @ inner
     return np.concatenate([d10, d01, [m00, wy @ nodes ** 2 - (wy @ nodes) ** 2]])
 

@@ -49,6 +49,7 @@ ROOT_TOL = 1e-10
 GH_NODES = 64
 _GH_X, _GH_W = hermgauss(GH_NODES)
 _HALF_MAX = 0.5 * np.finfo(float).max
+_QUAD_ROWS = 1 << 10     # values of y per optimal-weight block: 64K cells at 64 nodes
 
 
 @dataclass(frozen=True)
@@ -222,25 +223,34 @@ class NonOptimalF:
 
 @dataclass(frozen=True)
 class OptimalF:
-    """f_opt(y) = a(y) / E[(X - h(y))^2 / pi(X) | Y = y] at pilot theta."""
+    """f_opt(y) = a(y) / E[(X - h(y))^2 / pi(X) | Y = y] at pilot theta.
+
+    The inner expectations are quadrature sums over ``_QUAD_ROWS`` values
+    of y at a time, so memory is bounded by one block of (y, node) cells
+    and the n_c inner values, not by n_c x 64 nodes.  A row's sum does
+    not depend on the rows beside it, so the block size moves no bit."""
 
     pi_model: PropensityModel
     theta_pilot: np.ndarray
 
     def values(self, y, model):
         y = np.asarray(y, dtype=float)
-        nodes, weights = model.conditional_x_nodes(y, self.theta_pilot)
-        h = model.h(y, self.theta_pilot)
-        # quadrature nodes are not data records: no floor, the Gaussian
-        # weight tames 1/pi in the tails, as long as pi leaves each term,
-        # and so their weighted mean, below half the largest float
-        pin = self.pi_model.pi(nodes)
-        integrand = nodes - h[:, None]
-        integrand *= integrand
-        if not np.all(pin * _HALF_MAX > integrand):
-            raise NumericalError("optimal weight: propensity underflows at a quadrature node")
-        integrand /= pin
-        inner = np.sum(np.atleast_2d(weights) * integrand, axis=1)
+        inner = np.empty(len(y))
+        for r0 in range(0, len(y), _QUAD_ROWS):
+            yb = y[r0:r0 + _QUAD_ROWS]
+            nodes, weights = model.conditional_x_nodes(yb, self.theta_pilot)
+            h = model.h(yb, self.theta_pilot)
+            # quadrature nodes are not data records: no floor, the Gaussian
+            # weight tames 1/pi in the tails, as long as pi leaves each term,
+            # and so their weighted mean, below half the largest float
+            pin = self.pi_model.pi(nodes)
+            integrand = nodes - h[:, None]
+            integrand *= integrand
+            if not np.all(pin * _HALF_MAX > integrand):
+                raise NumericalError("optimal weight: propensity underflows at a quadrature node")
+            integrand /= pin
+            integrand *= weights
+            integrand.sum(axis=1, out=inner[r0:r0 + len(yb)])
         if np.any(inner <= 0) or not np.all(np.isfinite(inner)):
             raise NumericalError("optimal weight: nonpositive inner expectation")
         return model.a(y, self.theta_pilot) / inner[:, None]

@@ -58,8 +58,8 @@ from .model import ObservedDataset, newton
 
 SCORE_TOL = 1e-8
 _BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
-_CACHED_CONTRASTS = 3e7  # groupwise fits regenerate contrasts above this count
-                         # (g! - 1 per group)
+_CACHED_CONTRASTS = 3e7  # most contrasts (g! - 1 per group) a groupwise fit
+                         # keeps; a fit with more raises DomainError
 _LOG2 = math.log(2.0)
 
 
@@ -323,9 +323,10 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
     before it: otherwise each y value's x range lies at or below the one
     before, so no two y values make a concordant pair (likewise for
     discordant pairs).  The cells are sorted by y and then by x, so a y
-    value's smallest and largest x are the first and last of its run.  The
-    groupwise permutation contrasts are kept when they fit in memory and
-    regenerated per evaluation otherwise."""
+    value's smallest and largest x are the first and last of its run.  A
+    groupwise fit keeps its permutation contrasts, C(n, g) (g! - 1) of them,
+    and raises DomainError before it builds any index or contrast when they
+    number more than _CACHED_CONTRASTS (g = 3 reaches n = 331, g = 4 n = 76)."""
     xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
     x, y, w = _cells(xc, yc)
     starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
@@ -344,12 +345,13 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         n_terms = n * (n - 1) // 2 - ties
     else:
         n_terms = math.comb(n, group_size)
-        if n_terms * (math.factorial(group_size) - 1) <= _CACHED_CONTRASTS:
-            cached = list(_group_deltas(xc, yc, group_size))
-            delta_blocks = lambda: cached
-        else:
-            delta_blocks = lambda: _group_deltas(xc, yc, group_size)
-        evaluate = lambda t: _groupwise_score_hess(delta_blocks, t)[:3]
+        contrasts = n_terms * (math.factorial(group_size) - 1)
+        if contrasts > _CACHED_CONTRASTS:
+            raise DomainError(f"groupwise fit with g = {group_size} on {n} complete cases "
+                              f"needs {contrasts:.3g} permutation contrasts, above the "
+                              f"budget of {_CACHED_CONTRASTS:.3g}")
+        cached = list(_group_deltas(xc, yc, group_size))
+        evaluate = lambda t: _groupwise_score_hess(lambda: cached, t)[:3]
     theta, it, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL, "pseudo-likelihood fit")
     return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
                            iterations=it, group_size=group_size,

@@ -167,6 +167,15 @@ def test_groupwise_odds_ratio_that_overflows_exits_4(tmp_path, capsys):
     assert _run_without_traceback(argv, capsys) == 4
 
 
+def test_groupwise_fit_above_the_contrast_budget_exits_2(tmp_path, capsys):
+    # 1,082 complete cases: C(1082, 4) groups of 23 contrasts each, 1.3e12
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--n", "2000", "--seed", "42", "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["estimate", str(path), "--method", "pseudolik", "--group-size", "4"]
+    assert _run_without_traceback(argv, capsys) == 2
+
+
 def test_csv_validation_messages(tmp_path):
     cases = {
         "1.5,2.0,1,1\n": None,                    # valid complete row

@@ -30,6 +30,40 @@ def test_complete_pattern_pointwise_at_unit():
     assert d1 == pytest.approx(d2, abs=1e-12)
 
 
+def test_npdf_takes_scalars_and_leaves_its_input_alone():
+    assert ce._npdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
+    assert np.ndim(ce._npdf(1.0, 1.0, 2.0)) == 0
+    z = np.array([-1.0, 0.5, 3.0])
+    got = ce._npdf(z, 0.5, 2.0)
+    np.testing.assert_array_equal(z, [-1.0, 0.5, 3.0])
+    np.testing.assert_array_equal(got, [ce._npdf(v, 0.5, 2.0) for v in z])
+
+
+def test_integrals_do_not_depend_on_the_block_size(monkeypatch):
+    grid = np.arange(ce.GRID_LO, ce.GRID_HI + 0.025, 0.05)
+    for width in (1.0, 0.5):
+        rule = ce._rule(width)
+        for model in (MODEL1, MODEL2):
+            monkeypatch.setattr(ce, "_BLOCK", 1 << 30)
+            one_block = ce._integrals(model, grid, *rule)
+            monkeypatch.setattr(ce, "_BLOCK", 1)
+            np.testing.assert_allclose(ce._integrals(model, grid, *rule), one_block,
+                                       rtol=1e-14, atol=0)
+
+
+def test_quadrature_memory_is_bounded_by_a_block(report):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        cc.verify_counterexample()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (0,0) node matrix of the half-width rule alone is 1680^2 floats,
+    # 22.6 MB
+    assert peak < 16 * 2 ** 20
+
+
 def test_both_missing_masses_agree(report):
     assert report.max_abs_discrepancy["00"] < 1e-6
 

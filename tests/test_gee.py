@@ -223,6 +223,49 @@ def test_optimal_weight_rejects_an_underflowing_propensity(c0):
         fopt.values(np.array([0.0, 1.0]), cc.NormalLinear(sigma2=8.19))
 
 
+PI_SLOPED = cc.PropensityModel.known((0.5, -0.3))
+
+
+@pytest.mark.parametrize("model, theta, y", [
+    (cc.NormalLinear(sigma2=8.19), [-1.4, 0.9], np.random.default_rng(3).normal(2, 1, 100)),
+    (cc.Binary2x2(0.25), [0.3, 0.6], np.random.default_rng(4).integers(1, 3, 100) * 1.0),
+])
+def test_optimal_weight_does_not_depend_on_the_block_size(model, theta, y, monkeypatch):
+    fopt = cc.optimal_f(PI_SLOPED, theta)
+    monkeypatch.setattr(cc.gee, "_QUAD_ROWS", len(y))
+    one_block = fopt.values(y, model)
+    monkeypatch.setattr(cc.gee, "_QUAD_ROWS", 7)
+    assert np.array_equal(fopt.values(y, model), one_block)
+
+
+def test_optimal_weight_underflow_in_the_last_block_raises(monkeypatch):
+    # pi = expit(5 x): the nodes of y = -200 lie near x = -200, where pi
+    # is 0 in floats; those of y = 0 lie within 15 of 0
+    monkeypatch.setattr(cc.gee, "_QUAD_ROWS", 7)
+    fopt = cc.optimal_f(cc.PropensityModel.known((0.0, 5.0)), [0.0, 1.0])
+    model = cc.NormalLinear(sigma2=1.0)
+    y = np.zeros(20)
+    assert np.all(np.isfinite(fopt.values(y, model)))
+    y[-1] = -200.0
+    with pytest.raises(cc.NumericalError, match="underflows"):
+        fopt.values(y, model)
+
+
+def test_optimal_weight_memory_is_bounded_by_a_block():
+    import tracemalloc
+    y = np.random.default_rng(5).normal(2, 1, 50_000)
+    fopt = cc.optimal_f(PI_SLOPED, [-1.4, 0.9])
+    tracemalloc.start()
+    try:
+        fopt.values(y, cc.NormalLinear(sigma2=8.19))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the weights and the inner expectations are 1.2 MB; one (50000, 64)
+    # array of nodes would be 24 MB
+    assert peak < 8 * 2 ** 20
+
+
 # ------------------------------------------------------------------ #
 # sandwich
 # ------------------------------------------------------------------ #

@@ -635,13 +635,13 @@ def test_groupwise_memory_is_bounded_by_a_block():
 
 
 @pytest.mark.parametrize("group_size, n", [(3, 30), (4, 16)])
-def test_groupwise_regenerated_contrasts_match_cached(group_size, n, monkeypatch):
+def test_groupwise_fit_raises_above_the_contrast_budget(group_size, n, monkeypatch):
     rng = np.random.default_rng(47 + group_size)
     y = rng.normal(2, 1, n)
     data = complete_dataset(-1.4 + 0.9 * y + rng.normal(0, 2.8, n), y)
-    cached = cc.fit_groupwise(data, group_size)
-    monkeypatch.setattr(cc.pseudolik, "_CACHED_CONTRASTS", 0)
-    regenerated = cc.fit_groupwise(data, group_size)
-    assert cached.iterations > 1
-    assert regenerated.theta_hat == cached.theta_hat
-    assert regenerated.iterations == cached.iterations
+    budget = math.comb(n, group_size) * (math.factorial(group_size) - 1)
+    monkeypatch.setattr(cc.pseudolik, "_CACHED_CONTRASTS", budget)
+    cc.fit_groupwise(data, group_size)
+    monkeypatch.setattr(cc.pseudolik, "_CACHED_CONTRASTS", budget - 1)
+    with pytest.raises(cc.DomainError, match="budget"):
+        cc.fit_groupwise(data, group_size)
