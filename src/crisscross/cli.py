@@ -12,6 +12,11 @@ Every command prints its JSON through ``_emit``, which saves the same
 report to ``--out`` (``simulate`` and ``experiment`` write their data there
 instead).  An experiment config's keys are ``ExperimentConfig``'s fields.
 
+``estimate`` and ``bootstrap`` run the row of ``model.ESTIMATORS`` that
+``--method``, ``--theta11`` and ``--f`` pick; an option it does not read
+exits 2.  The CLI gives the optimal GEE no pilot, so it uses its own
+plain-weight fit (a study passes its pooled pilot instead).
+
 Each handler imports the layers it runs when it runs, so a command loads
 no layer it does not call (``--version`` loads none).
 """
@@ -94,16 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="fit one method on a CSV dataset")
     _common(p, seed=False, config=False)
-    p.add_argument("data", type=str, help="CSV file with header x,y,r_x,r_y")
-    p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
-    p.add_argument("--group-size", type=int, default=2)
-    p.add_argument("--f", choices=("nonoptimal", "optimal"), default="nonoptimal")
+    _method(p)
+    p.add_argument("--group-size", type=int, default=None,
+                   help="pseudolik group size g: 2 (default), 3 or 4")
+    p.add_argument("--f", choices=("nonoptimal", "optimal"), default=None,
+                   help="GEE weight (default nonoptimal)")
     p.add_argument("--known", type=str, default=None, metavar="NAME=VALUE",
                    help="fix a mean-model coefficient, e.g. alpha=-1.4")
     p.add_argument("--sigma2", type=float, default=None,
                    help="known conditional variance of X|Y (optimal GEE, OR scale)")
-    p.add_argument("--theta11", type=float, default=None,
-                   help="known cell p(X = 1, Y = 1): the binary 2x2 GEE workflow")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a seeded replication study")
@@ -118,11 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bootstrap", help="bootstrap SEs for one method")
     _common(p, config=False)
-    p.add_argument("data", type=str)
-    p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
+    _method(p)
     p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--theta11", type=float, default=None,
-                   help="known cell p(X = 1, Y = 1): the binary 2x2 GEE workflow")
     p.set_defaults(handler=_cmd_bootstrap)
 
     return parser
@@ -138,6 +139,14 @@ def _common(p, seed=True, config=True):
         p.add_argument("--config", type=str, default=None,
                        help="JSON configuration file")
     p.add_argument("--threads", type=int, default=1)
+
+
+def _method(p):
+    """The data file and the options that pick an estimator, on estimate and bootstrap."""
+    p.add_argument("data", type=str, help="CSV file with header x,y,r_x,r_y")
+    p.add_argument("--method", choices=("pseudolik", "gee"), required=True)
+    p.add_argument("--theta11", type=float, default=None,
+                   help="known cell p(X = 1, Y = 1): the binary 2x2 GEE workflow")
 
 
 def _emit(payload, report=None) -> None:
@@ -288,73 +297,35 @@ def _parse_known(spec: str | None) -> dict:
     return {name: number}
 
 
+def _estimator(args):
+    """The estimator row the options pick, and the options given (each
+    defaults to None); one the row does not read is a ConfigError."""
+    from .model import ESTIMATORS
+    given = {name: getattr(args, name) for name in
+             ("group_size", "f", "known", "sigma2", "theta11")
+             if getattr(args, name, None) is not None}
+    method = ("pseudolik" if args.method == "pseudolik"
+              else "binary_2x2" if "theta11" in given
+              else "gee_" + given.get("f", "nonoptimal"))
+    row = ESTIMATORS[method]
+    unread = [name for name in given if name not in row.options]
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise ConfigError(f"the {method} fit does not read {flags}")
+    if "known" in given:
+        given["known"] = _parse_known(given["known"])
+    sigma2 = given.get("sigma2")
+    if sigma2 is not None and not 0 < sigma2 < math.inf:
+        raise DomainError(f"--sigma2 must be positive and finite, got {sigma2!r}")
+    return row, given
+
+
 def _cmd_estimate(args):
-    known = _parse_known(args.known)
-    if args.sigma2 is not None and not 0 < args.sigma2 < math.inf:
-        raise DomainError(f"--sigma2 must be positive and finite, got {args.sigma2!r}")
+    row, options = _estimator(args)
     from .dataio import load_dataset
-    from .model import or_from_theta
     data = load_dataset(args.data)
-    payload: dict = {"n_total": data.n_total, "n_complete": data.n_complete}
-    if args.method == "pseudolik":
-        if args.group_size == 2:
-            from .pseudolik import fit_pairwise_with_variance
-            res = fit_pairwise_with_variance(data)
-            payload.update({
-                "theta_hat": res.theta_hat, "se": res.se,
-                "a_hat": res.a_hat, "b_hat": res.b_hat,
-                "sandwich_var": res.sandwich_var,
-                "iterations": res.iterations, "converged": True,
-                "ties_dropped": res.ties_dropped,
-            })
-            or_point, or_se = or_from_theta(res.theta_hat, res.se)
-            payload["or_unit_contrast"] = {"point": or_point, "se": or_se}
-        else:
-            from .pseudolik import fit_groupwise
-            res = fit_groupwise(data, args.group_size)
-            payload.update({"theta_hat": res.theta_hat,
-                            "group_size": res.group_size,
-                            "iterations": res.iterations,
-                            "converged": True})
-            payload["or_unit_contrast"] = {"point": or_from_theta(res.theta_hat, 0.0)[0]}
-    elif args.theta11 is not None:
-        from .gee import estimate_binary_2x2, fit_propensity
-        res = estimate_binary_2x2(data, args.theta11, fit_propensity(data))
-        payload.update({
-            "theta11": res.theta11,
-            "cells": {"theta12": res.cells[0], "theta21": res.cells[1],
-                      "theta22": res.cells[2]},
-            "log_or": res.log_odds_ratio, "log_or_se": res.log_odds_ratio_se,
-            "converged": True, "iterations": res.gee.iterations,
-        })
-    else:
-        from .gee import (NonOptimalF, NormalLinear, fit_propensity, odds_ratio,
-                          optimal_f, solve_gee)
-        model = NormalLinear(known=known, sigma2=args.sigma2)
-        pi_model = fit_propensity(data)
-        if args.f == "optimal":
-            if args.sigma2 is None:
-                raise ConfigError("optimal GEE needs --sigma2")
-            pilot = solve_gee(data, model, pi_model, NonOptimalF()).theta_hat
-            weight = optimal_f(pi_model, pilot)
-        else:
-            weight = NonOptimalF()
-        res = solve_gee(data, model, pi_model, weight)
-        payload.update({
-            "estimates": dict(zip(res.param_names, res.theta_hat.tolist())),
-            "residual_norm": res.residual_norm,
-            "iterations": res.iterations, "converged": True,
-            "propensity": {"coefficients": pi_model.coefficients.tolist(),
-                           "converged": pi_model.converged,
-                           "separation": pi_model.separation_flag},
-        })
-        if res.sandwich_cov is not None:
-            payload["se"] = dict(zip(res.param_names, res.se().tolist()))
-            payload["sandwich_cov"] = res.sandwich_cov.tolist()
-        or_unit = None if args.sigma2 is None else odds_ratio(res, args.sigma2)
-        if or_unit is not None:
-            payload["or_unit_contrast"] = or_unit
-    _emit(payload, args.out)
+    _, _, report = row.fit(data, options)
+    _emit({"n_total": data.n_total, "n_complete": data.n_complete, **report}, args.out)
 
 
 def _cmd_experiment(args):
@@ -383,31 +354,12 @@ def _cmd_counterexample(args):
 
 
 def _cmd_bootstrap(args):
+    row, options = _estimator(args)
     from .dataio import load_dataset
     from .experiments import bootstrap
     data = load_dataset(args.data)
-    if args.method == "pseudolik":
-        from .pseudolik import build_pairs, fit_pairwise
-
-        def fit(d):
-            theta = fit_pairwise(build_pairs(d)).theta_hat
-            return {"theta": theta, "log_or": theta}
-    elif args.theta11 is not None:
-        from .gee import estimate_binary_2x2, fit_propensity
-
-        def fit(d):
-            res = estimate_binary_2x2(d, args.theta11, fit_propensity(d))
-            return {"log_or": res.log_odds_ratio,
-                    "theta12": res.cells[0], "theta21": res.cells[1],
-                    "theta22": res.cells[2]}
-    else:
-        from .gee import NonOptimalF, NormalLinear, fit_propensity, solve_gee
-
-        def fit(d):
-            res = solve_gee(d, NormalLinear(), fit_propensity(d), NonOptimalF())
-            return dict(zip(res.param_names, res.theta_hat.tolist()))
-
-    boot = bootstrap(data, fit, args.resamples, args.seed)
+    boot = bootstrap(data, lambda d: row.fit(d, options, point_only=True)[0],
+                     args.resamples, args.seed)
     _emit({"se": boot.se, "n_failed": boot.n_failed,
            "n_resamples": boot.n_resamples}, args.out)
 

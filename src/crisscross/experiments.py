@@ -12,15 +12,19 @@ Per (sweep point, method, parameter) the summary reports bias, SD, and
 MSE across converged replicates plus, where a method provides one, the
 average estimated standard error (so both readings of a dispersion
 column -- SD of point estimates vs mean estimated SE -- are available).
-Replicate failures are counted and excluded, never silently dropped.
+Replicate failures are counted and excluded, never silently dropped: each
+method is a row of ``model.ESTIMATORS``, the table the CLI runs too, whose
+parameter names give every cell, so one whose every replicate failed
+still reports n_converged = 0 and n_failed (bias, SD, MSE and mean SE None).
 
 The optimal GEE takes its pilot coefficients from the medians of the
-non-optimal fits across the replicates of the same sweep point; in
-single-dataset use the caller passes a per-dataset pilot instead.
+non-optimal fits across the replicates of the same sweep point (the CLI
+passes none, so each fit uses its own plain-weight fit).  Where none of
+those fits converged, every optimal GEE replicate there fails.
 
-Odds ratios are reported at unit pair contrast throughout, by
-``gee.odds_ratio`` as in the CLI.  A fit that does not converge raises
-NumericalError in ``model.newton`` and counts as a failed replicate.
+Odds ratios are reported at unit pair contrast throughout, from the row's
+``log_or`` by ``or_from_theta`` as in the CLI.  A fit that does not
+converge raises NumericalError in ``model.newton`` and counts as failed.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, CrissCrossError, DataError
-from .model import ObservedDataset, or_from_theta
+from .errors import ConfigError, CrissCrossError, DataError, NumericalError
+from .model import ESTIMATORS, ObservedDataset, or_from_theta
 
 if TYPE_CHECKING:
     from .simulate import BivariateNormalTarget
@@ -137,10 +141,10 @@ def sweep_points(config: ExperimentConfig) -> list[SweepPoint]:
 
 
 @dataclass(frozen=True)
-class CellStats:
-    bias: float
-    sd: float
-    mse: float
+class CellStats:                # the floats are None where no replicate converged
+    bias: float | None
+    sd: float | None
+    mse: float | None
     mean_se: float | None
     n_converged: int
     n_failed: int
@@ -177,33 +181,17 @@ def _simulate_replicate(point: SweepPoint, base_seed: int, r: int):
     return simulate_dataset(config).observed
 
 
-def _fit_pseudolik(data: ObservedDataset) -> tuple[dict, dict]:
-    from .pseudolik import fit_pairwise_with_variance
-    res = fit_pairwise_with_variance(data)
-    or_point, or_se = or_from_theta(res.theta_hat, res.se)
-    est = {"theta": res.theta_hat, "or": or_point}
-    ses = {"theta": res.se, "or": or_se}
-    return est, ses
-
-
-def _fit_gee(data: ObservedDataset, point: SweepPoint, pilot) -> tuple[dict, dict]:
-    """GEE with the plain weight, or the optimal one when a pilot is given."""
-    from .gee import (NonOptimalF, NormalLinear, fit_propensity, odds_ratio,
-                      optimal_f, solve_gee)
-    model = NormalLinear(known=point.known, sigma2=point.sigma2)
-    pi_model = fit_propensity(data)
-    weight = NonOptimalF() if pilot is None else optimal_f(pi_model, pilot)
-    res = solve_gee(data, model, pi_model, weight)
-    est = dict(zip(res.param_names, res.theta_hat))
-    ses = {}
-    if res.sandwich_cov is not None:
-        ses = dict(zip(res.param_names, res.se()))
-    or_unit = odds_ratio(res, point.sigma2)
-    if or_unit is not None:
-        est["or"] = or_unit["point"]
-        if "se" in or_unit:
-            ses["or"] = or_unit["se"]
-    return est, ses
+def _study_fit(row, options):
+    """``row``'s fit as a study records it: (estimates, SEs), with the odds
+    ratio "or" at unit pair contrast in place of "log_or"."""
+    def fit(data):
+        est, ses, _ = row.fit(data, options)
+        if "log_or" in est:
+            est["or"], or_se = or_from_theta(est.pop("log_or"), ses.get("log_or", 0.0))
+            if ses.pop("log_or", None) is not None:
+                ses["or"] = or_se
+        return est, ses
+    return fit
 
 
 def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
@@ -212,39 +200,36 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
     stats: dict = {}
     failures: dict = {}
     truths = {p.label: dict(p.truth) for p in points}
+    runs_needed = set(config.methods)
+    if "gee_optimal" in runs_needed:
+        runs_needed.add("gee_nonoptimal")      # its fits give the pilot
 
     for point in points:
         datasets = _map_replicates(
             lambda r: _simulate_replicate(point, config.base_seed, r),
             config.replicates, config.threads)
-
-        per_method: dict = {}
-        if "pseudolik" in config.methods:
-            per_method["pseudolik"] = _collect(
-                datasets, lambda d: _fit_pseudolik(d), config.threads)
-        nonopt = None
-        if "gee_nonoptimal" in config.methods or "gee_optimal" in config.methods:
-            nonopt = _collect(datasets, lambda d: _fit_gee(d, point, None),
-                              config.threads)
-        if "gee_nonoptimal" in config.methods:
-            per_method["gee_nonoptimal"] = nonopt
-        if "gee_optimal" in config.methods:
-            pilot = _pilot_from(nonopt, point)
-            per_method["gee_optimal"] = _collect(
-                datasets, lambda d: _fit_gee(d, point, pilot), config.threads)
-
-        for method, (est_list, se_list, n_failed) in per_method.items():
+        options = {"known": point.known, "sigma2": point.sigma2}
+        runs: dict = {}
+        for method in (m for m in METHODS if m in runs_needed):   # plain GEE first
+            row = ESTIMATORS[method]
+            fit = _study_fit(row, options)
+            if method == "gee_optimal":
+                pilot = _pilot_from(runs["gee_nonoptimal"][0], row.names(options))
+                fit = _no_pilot if pilot is None else _study_fit(
+                    row, {**options, "pilot": pilot})
+            runs[method] = _collect(datasets, fit, config.threads)
+            if method not in config.methods:
+                continue
+            est_list, se_list, n_failed = runs[method]
             failures[(point.label, method)] = n_failed
-            params = sorted({k for e in est_list if e for k in e})
-            for param in params:
+            for param in sorted("or" if n == "log_or" else n for n in row.names(options)):
                 vals = np.array([e[param] for e in est_list if e and param in e])
                 ses = [s.get(param) for e, s in zip(est_list, se_list)
                        if e and param in e]
                 ses_arr = (np.array([s for s in ses if s is not None])
                            if any(s is not None for s in ses) else None)
-                truth = point.truth.get(param)
                 stats[(point.label, method, param)] = _cell_stats(
-                    vals, ses_arr, truth, n_failed)
+                    vals, ses_arr, point.truth[param], n_failed)
                 estimates[(point.label, method, param)] = vals
 
     return ReplicationSummary(config=config, truths=truths, estimates=estimates,
@@ -272,34 +257,31 @@ def _collect(datasets, fit, threads):
     return est_list, se_list, n_failed
 
 
-def _pilot_from(nonopt, point: SweepPoint):
-    est_list, _, _ = nonopt
-    alphas = [e["alpha"] for e in est_list if e and "alpha" in e]
-    betas = [e["beta"] for e in est_list if e and "beta" in e]
-    alpha = float(np.median(alphas)) if alphas else point.known.get("alpha")
-    beta = float(np.median(betas)) if betas else point.known.get("beta")
-    if alpha is None or beta is None:
-        raise ConfigError("no pilot available for the optimal GEE")
-    free = [v for n, v in (("alpha", alpha), ("beta", beta))
-            if n not in point.known]
-    return np.array(free)
+def _no_pilot(data):
+    raise NumericalError("no plain-weight GEE fit converged to pool a pilot from")
+
+
+def _pilot_from(est_list, names):
+    """Medians of the plain-weight fits' free coefficients, or None when no
+    fit converged."""
+    fitted = [e for e in est_list if e]
+    if not fitted:
+        return None
+    return np.array([float(np.median([e[n] for e in fitted]))
+                     for n in names if n != "log_or"])
 
 
 def _cell_stats(vals, ses_arr, truth, n_failed) -> CellStats:
     n = len(vals)
-    if n == 0:
-        return CellStats(math.nan, math.nan, math.nan, None, 0, n_failed)
+    if n == 0:      # every replicate failed: the counts alone, never NaN
+        return CellStats(None, None, None, None, 0, n_failed)
     mean = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
-    if truth is None:
-        bias = math.nan
-        mse = math.nan
-    else:
-        bias = mean - truth
-        mse = float(np.mean((vals - truth) ** 2))
-        check = bias ** 2 + sd ** 2 * (n - 1) / n
-        if abs(mse - check) > 1e-12 * max(1.0, abs(mse)):
-            raise ConfigError("internal aggregation inconsistency")
+    bias = mean - truth     # every parameter a row names has a truth
+    mse = float(np.mean((vals - truth) ** 2))
+    check = bias ** 2 + sd ** 2 * (n - 1) / n
+    if abs(mse - check) > 1e-12 * max(1.0, abs(mse)):
+        raise ConfigError("internal aggregation inconsistency")
     mean_se = float(np.mean(ses_arr)) if ses_arr is not None and len(ses_arr) else None
     return CellStats(bias=bias, sd=sd, mse=mse, mean_se=mean_se,
                      n_converged=n, n_failed=n_failed)

@@ -42,7 +42,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DataError, DomainError, NumericalError, SeparationError
 from .families import expit
 from .glm import LogisticFit
-from .model import ObservedDataset, newton, norm, or_from_theta
+from .model import ObservedDataset, newton, norm
 
 PROPENSITY_FLOOR = 1e-6
 ROOT_TOL = 1e-10
@@ -335,20 +335,6 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
                      sandwich_cov=cov, c_hat=c_hat, d_hat=d_hat,
                      residual_norm=norm(g), iterations=it,
                      n_complete=data.n_complete, n_total=data.n_total)
-
-
-def odds_ratio(res: GeeResult, sigma2: float) -> dict | None:
-    """Odds ratio exp(beta / sigma2) at unit pair contrast of a NormalLinear
-    fit: None when beta is known; its "se" only where the fit has a sandwich."""
-    if "beta" not in res.param_names:
-        return None
-    j = res.param_names.index("beta")
-    # Python floats: a tiny sigma2 overflows theta to inf without a warning
-    theta = float(res.theta_hat[j]) / sigma2
-    if res.sandwich_cov is None:
-        return {"point": or_from_theta(theta, 0.0)[0]}
-    point, se = or_from_theta(theta, float(res.se()[j]) / sigma2)
-    return {"point": point, "se": se}
 
 
 def sandwich_gee(data: ObservedDataset, model, pi_model: PropensityModel, f,

@@ -1,7 +1,8 @@
 """Core model types: target-law parameters, missingness mechanism,
 observed datasets, the pairwise odds-ratio kernel, and the damped-Newton
 solver shared by the pseudo-likelihood and GEE fits, which either stops at
-a maximizer or root or raises NumericalError.
+a maximizer or root or raises NumericalError, and ``ESTIMATORS``, the one
+table of estimation methods that the CLI and the studies both run.
 
 The data model is a pair (X, Y) with missingness indicators (R_x, R_y)
 obeying the criss-cross restrictions R_x _||_ X | Y and
@@ -21,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericalError
+from .errors import ConfigError, DataError, DomainError, NumericalError
 from .families import Family, Link, expit
 
 NEWTON_MAX_ITER = 100
@@ -272,3 +275,116 @@ def newton(evaluate, theta0, n_terms: int, tol: float, label: str):
     shown = ", ".join(f"{t:g}" for t in np.atleast_1d(theta))
     raise NumericalError(f"{label} did not converge (theta = {shown} "
                          f"after {it} iterations)")
+
+
+# --------------------------------------------------------------------- #
+# the estimator table
+# --------------------------------------------------------------------- #
+
+class Estimator(NamedTuple):
+    """The CLI options a method reads, ``names(options)``, its estimates' keys,
+    and ``fit(data, options, point_only=False)``, which imports its layer when
+    it runs and returns (estimates, SEs, report): the estimates and SEs by
+    name, with "log_or", the log odds ratio at unit pair contrast, where the
+    method has one, and the report ``estimate`` prints.  ``point_only`` skips
+    the variance pass and the report: a bootstrap resample needs neither."""
+    options: frozenset
+    names: Callable
+    fit: Callable
+
+
+def _or_unit(log_or: float, se: float | None) -> dict:
+    point, or_se = or_from_theta(log_or, 0.0 if se is None else se)
+    return {"point": point} if se is None else {"point": point, "se": or_se}
+
+
+def _fit_pseudolik(data: ObservedDataset, options: dict, point_only=False) -> tuple:
+    from . import pseudolik
+    g = options.get("group_size", 2)
+    if g != 2:
+        res = pseudolik.fit_groupwise(data, g)
+    elif point_only:
+        res = pseudolik.fit_pairwise(pseudolik.build_pairs(data))
+    else:
+        res = pseudolik.fit_pairwise_with_variance(data)
+    theta, se = res.theta_hat, res.se
+    if point_only:
+        payload = {}
+    elif g == 2:
+        payload = {"theta_hat": theta, "se": se, "a_hat": res.a_hat, "b_hat": res.b_hat,
+                   "sandwich_var": res.sandwich_var, "iterations": res.iterations,
+                   "converged": True, "ties_dropped": res.ties_dropped,
+                   "or_unit_contrast": _or_unit(theta, se)}
+    else:
+        payload = {"theta_hat": theta, "group_size": g, "iterations": res.iterations,
+                   "converged": True, "or_unit_contrast": _or_unit(theta, se)}
+    return ({"theta": theta, "log_or": theta},
+            {} if se is None else {"theta": se, "log_or": se}, payload)
+
+
+def _gee_names(options: dict) -> tuple:
+    """The free coefficients, and log_or = beta / sigma2 where beta is free
+    and sigma2 given."""
+    from .gee import NormalLinear
+    names = NormalLinear(known=options.get("known", {})).free_names
+    return names + ("log_or",) * ("beta" in names and options.get("sigma2") is not None)
+
+
+def _fit_gee(data: ObservedDataset, options: dict, point_only=False, optimal=False
+             ) -> tuple:
+    """The optimal GEE's pilot is ``options["pilot"]`` or the plain-weight fit."""
+    from .gee import NonOptimalF, NormalLinear, fit_propensity, optimal_f, solve_gee
+    sigma2 = options.get("sigma2")
+    if optimal and sigma2 is None:
+        raise ConfigError("optimal GEE needs --sigma2")
+    model = NormalLinear(known=options.get("known", {}), sigma2=sigma2)
+    pi_model = fit_propensity(data)
+    weight = NonOptimalF()
+    if optimal:
+        pilot = options.get("pilot")
+        if pilot is None:
+            pilot = solve_gee(data, model, pi_model, weight).theta_hat
+        weight = optimal_f(pi_model, pilot)
+    res = solve_gee(data, model, pi_model, weight)
+    est = dict(zip(res.param_names, res.theta_hat.tolist()))
+    ses = {} if res.sandwich_cov is None else dict(zip(res.param_names, res.se().tolist()))
+    payload = {} if point_only else {
+        "estimates": dict(est), "residual_norm": res.residual_norm,
+        "iterations": res.iterations, "converged": True,
+        "propensity": {"coefficients": pi_model.coefficients.tolist(),
+                       "converged": pi_model.converged,
+                       "separation": pi_model.separation_flag},
+        **({"se": dict(ses), "sandwich_cov": res.sandwich_cov.tolist()} if ses else {})}
+    if "log_or" in _gee_names(options):
+        # Python floats: a tiny sigma2 overflows theta to inf without a warning
+        est["log_or"] = est["beta"] / sigma2
+        if ses:
+            ses["log_or"] = ses["beta"] / sigma2
+        if payload:
+            payload["or_unit_contrast"] = _or_unit(est["log_or"], ses.get("log_or"))
+    return est, ses, payload
+
+
+def _fit_binary_2x2(data: ObservedDataset, options: dict, point_only=False) -> tuple:
+    from .gee import estimate_binary_2x2, fit_propensity
+    res = estimate_binary_2x2(data, options["theta11"], fit_propensity(data))
+    log_or, se = res.log_odds_ratio, res.log_odds_ratio_se
+    cells = dict(zip(("theta12", "theta21", "theta22"), res.cells))
+    payload = {} if point_only else {
+        "theta11": res.theta11, "cells": cells, "log_or": log_or, "log_or_se": se,
+        "converged": True, "iterations": res.gee.iterations}
+    return {"log_or": log_or, **cells}, {} if se is None else {"log_or": se}, payload
+
+
+# The first three rows are the study methods.
+ESTIMATORS = {
+    "pseudolik": Estimator(frozenset({"group_size"}), lambda o: ("theta", "log_or"),
+                           _fit_pseudolik),
+    "gee_nonoptimal": Estimator(frozenset({"f", "known", "sigma2"}), _gee_names,
+                                _fit_gee),
+    "gee_optimal": Estimator(frozenset({"f", "known", "sigma2"}), _gee_names,
+                             partial(_fit_gee, optimal=True)),
+    "binary_2x2": Estimator(frozenset({"theta11"}),
+                            lambda o: ("log_or", "theta12", "theta21", "theta22"),
+                            _fit_binary_2x2),
+}

@@ -219,6 +219,18 @@ def test_bootstrap_pseudolik_se_comes_from_theta_alone(dataset_csv, capsys):
     assert payload["n_failed"] == boot.n_failed == 0
 
 
+def test_bootstrap_runs_no_variance_pass(dataset_csv, capsys, monkeypatch):
+    # a resample needs the point estimate only: the variance pass of the
+    # estimate command would add one more O(n_c^2) pass to each
+    def no_variance(*args):
+        raise AssertionError("bootstrap ran a variance pass")
+    monkeypatch.setattr(cc.pseudolik, "variance_ustat", no_variance)
+    assert main(["bootstrap", str(dataset_csv), "--method", "pseudolik",
+                 "--resamples", "4"]) == 0
+    se = json.loads(capsys.readouterr().out)["se"]
+    assert list(se) == ["theta", "log_or"] and se["theta"] == se["log_or"] > 0
+
+
 def _run_without_traceback(argv, capsys):
     code = main(argv)
     err = capsys.readouterr().err
@@ -404,6 +416,28 @@ def test_a_flag_the_command_never_reads_is_a_usage_error(argv, dataset_csv, caps
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["estimate", "DATA", "--method", "pseudolik", "--theta11", "0.5", "--f", "optimal",
+      "--known", "beta=3"], "--f, --known, --theta11"),
+    (["estimate", "DATA", "--method", "pseudolik", "--f", "nonoptimal"], "--f"),
+    (["estimate", "DATA", "--method", "pseudolik", "--sigma2", "8.19"], "--sigma2"),
+    (["estimate", "DATA", "--method", "gee", "--group-size", "3"], "--group-size"),
+    (["estimate", "DATA", "--method", "gee", "--theta11", "0.723", "--f", "optimal"],
+     "--f"),
+    (["estimate", "DATA", "--method", "gee", "--theta11", "0.723", "--sigma2", "1"],
+     "--sigma2"),
+    (["bootstrap", "DATA", "--method", "pseudolik", "--theta11", "0.7",
+      "--resamples", "3"], "--theta11"),
+], ids=["pseudolik-binary-and-gee", "pseudolik-f", "pseudolik-sigma2", "gee-group-size",
+        "binary-f", "binary-sigma2", "bootstrap-pseudolik-theta11"])
+def test_an_option_the_chosen_method_does_not_read_exits_2(argv, unread, dataset_csv,
+                                                           capsys):
+    argv = [str(dataset_csv) if a == "DATA" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"does not read {unread}" in captured.err
 
 
 def test_sample_size_beyond_physical_memory_exits_2(tmp_path, capsys):

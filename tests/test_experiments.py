@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import crisscross as cc
-from crisscross.experiments import _cell_stats, _collect, _fit_gee, _fit_pseudolik
+from crisscross.experiments import _cell_stats, _collect
+from crisscross.model import ESTIMATORS
 
 from conftest import UNDERFLOWED, complete_dataset
 
@@ -97,14 +98,45 @@ def test_known_beta_leaves_gee_without_an_odds_ratio():
 
 def test_an_unconverged_study_fit_is_a_numerical_error(monkeypatch):
     with pytest.raises(cc.NumericalError, match="did not converge"):
-        _fit_pseudolik(complete_dataset(*UNDERFLOWED))
+        ESTIMATORS["pseudolik"].fit(complete_dataset(*UNDERFLOWED), {})
     # the linear GEE takes its one step, and converges only at iteration 2
     monkeypatch.setattr(cc.model, "NEWTON_MAX_ITER", 1)
     point = cc.sweep_points(small_config())[0]
     data = cc.simulate_dataset(cc.ScenarioConfig(point.target, point.mechanism,
                                                  300, seed=1)).observed
     with pytest.raises(cc.NumericalError, match="GEE fit did not converge"):
-        _fit_gee(data, point, None)
+        ESTIMATORS["gee_nonoptimal"].fit(data, {"known": point.known,
+                                                "sigma2": point.sigma2})
+
+
+# At N = 4 every pseudolik and plain GEE fit of these replicates fails.
+TINY = dict(sweep="sample_size", values=(4, 300), replicates=3, base_seed=1)
+
+
+def test_a_sweep_point_without_a_pilot_fails_its_optimal_fits_and_goes_on():
+    summary = cc.run_experiment(cc.ExperimentConfig(**TINY))
+    assert summary.failures[("N=4", "gee_nonoptimal")] == 3
+    assert summary.failures[("N=4", "gee_optimal")] == 3
+    optimal = summary.stats[("N=300", "gee_optimal", "beta")]
+    assert optimal.n_converged + optimal.n_failed == 3 and optimal.n_converged > 0
+
+
+def test_a_cell_whose_every_replicate_failed_keeps_its_counts(tmp_path):
+    config = cc.ExperimentConfig(**{**TINY, "values": (4,)},
+                                 methods=("pseudolik", "gee_nonoptimal"))
+    summary = cc.run_experiment(config)
+    assert summary.failures == {("N=4", "pseudolik"): 3, ("N=4", "gee_nonoptimal"): 3}
+    records = summary.tidy_records()
+    cells = {(r["method"], r["parameter"]) for r in records}
+    assert cells == {("pseudolik", "theta"), ("pseudolik", "or"),
+                     ("gee_nonoptimal", "alpha"), ("gee_nonoptimal", "beta"),
+                     ("gee_nonoptimal", "or")}
+    assert {(r["statistic"], r["value"]) for r in records} == {
+        ("n_converged", 0), ("n_failed", 3)}
+    cc.write_summary(summary, tmp_path / "s")
+    mirror = json.loads((tmp_path / "s.json").read_text())
+    assert all(c["bias"] is None and c["estimates"] == [] for c in mirror["cells"])
+    assert "nan" not in (tmp_path / "s.csv").read_text().lower()
 
 
 def test_misspecification_sweep_uses_quadratic_mechanism():
