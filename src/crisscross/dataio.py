@@ -19,17 +19,27 @@ from .errors import DataError
 from .model import ObservedDataset
 
 
+_SAVE_ROWS = 1 << 13     # rows per write: about 1 MB of line strings
+
+
 def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
 def save_dataset(data: ObservedDataset, path) -> None:
-    lines = ["x,y,r_x,r_y"]
-    for xi, yi, rxi, ryi in zip(data.x, data.y, data.r_x, data.r_y):
-        xs = _fmt(xi) if rxi == 1 else ""
-        ys = _fmt(yi) if ryi == 1 else ""
-        lines.append(f"{xs},{ys},{int(rxi)},{int(ryi)}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    """Writes the rows in blocks of _SAVE_ROWS, so the text held at once is
+    one block's, not the file's."""
+    with open(path, "wb") as out:
+        out.write(b"x,y,r_x,r_y\n")
+        for lo in range(0, data.n_total, _SAVE_ROWS):
+            block = slice(lo, lo + _SAVE_ROWS)
+            lines = []
+            for xi, yi, rxi, ryi in zip(data.x[block], data.y[block],
+                                        data.r_x[block], data.r_y[block]):
+                xs = _fmt(xi) if rxi == 1 else ""
+                ys = _fmt(yi) if ryi == 1 else ""
+                lines.append(f"{xs},{ys},{int(rxi)},{int(ryi)}\n")
+            out.write("".join(lines).encode("ascii"))
 
 
 def load_dataset(path) -> ObservedDataset:

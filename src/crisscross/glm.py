@@ -3,6 +3,13 @@
 Shared by the propensity fits, the permutation-submodel nuisances, and
 the simulation diagnostics.  Kept minimal on purpose: dense design,
 Newton steps with halving, explicit separation detection.
+
+The loop stops converged at |gradient| <= GRAD_TOL, and unconverged at
+MAX_ITER or at the first iteration that leaves its coefficients and
+log-likelihood bitwise unchanged: an iteration reads only that state, so
+every later one would repeat it, and the cap's result is returned early.
+The README's 100k-row propensity fit, whose steps gain less than the
+rounding of its log-likelihood, stops so at iteration 15.
 """
 
 from __future__ import annotations
@@ -64,10 +71,14 @@ def fit_logistic(design: np.ndarray, response: np.ndarray) -> LogisticFit:
             if ll_new >= ll - 1e-12:
                 break
             scale *= 0.5
-        beta = beta + scale * step
+        moved = beta + scale * step
+        stalled = moved.tobytes() == beta.tobytes() and ll_new <= ll
+        beta = moved
         ll = max(ll, ll_new)
         if np.linalg.norm(grad) <= GRAD_TOL:
             converged = True
+            break
+        if stalled:     # a fixed point: every later iteration repeats this one
             break
 
     separation = (not converged and np.max(np.abs(beta)) > 30.0)

@@ -89,6 +89,34 @@ def test_csv_round_trip(tmp_path):
     assert b"\r" not in path.read_bytes()
 
 
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               200, seed=11)
+    obs = cc.simulate_dataset(config).observed
+    one, blocks = tmp_path / "one.csv", tmp_path / "blocks.csv"
+    monkeypatch.setattr(cc.dataio, "_SAVE_ROWS", obs.n_total)
+    cc.save_dataset(obs, one)
+    monkeypatch.setattr(cc.dataio, "_SAVE_ROWS", 7)     # several blocks, a partial last
+    cc.save_dataset(obs, blocks)
+    assert blocks.read_bytes() == one.read_bytes()
+
+
+def test_csv_write_memory_is_bounded_by_a_block(tmp_path):
+    import tracemalloc
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM,
+                               100_000, seed=42)
+    obs = cc.simulate_dataset(config).observed
+    tracemalloc.start()
+    try:
+        cc.save_dataset(obs, tmp_path / "d.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block of line strings is about 1.2 MB; the whole file's lines
+    # and their joined text are 15 MB
+    assert peak < 4 * 2 ** 20
+
+
 def test_save_report_writes_numpy_scalars_as_json(tmp_path):
     # a propensity fit that stops unconverged flags separation as np.bool_
     path = tmp_path / "r.json"
