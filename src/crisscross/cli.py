@@ -336,6 +336,9 @@ def _cmd_experiment(args):
     with _config_entries("experiment"):   # an unknown key is a TypeError
         config = ExperimentConfig(**{"base_seed": args.seed, **cfg},
                                   threads=args.threads)
+    if args.out:    # a path it cannot write fails before the study, not after
+        from .dataio import check_out
+        check_out(f"{args.out}.csv", f"{args.out}.json")
     summary = run_experiment(config)
     if args.out:
         write_summary(summary, args.out)

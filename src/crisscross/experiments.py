@@ -289,15 +289,15 @@ def _cell_stats(vals, ses_arr, truth, n_failed) -> CellStats:
 
 def write_summary(summary: ReplicationSummary, prefix) -> None:
     """Tidy CSV (sweep_point, method, parameter, statistic, value) + JSON."""
-    from .dataio import save_report
+    from .dataio import open_out, save_report
     rows = summary.tidy_records()
     lines = ["sweep_point,method,parameter,statistic,value"]
     for row in sorted(rows, key=lambda r: (r["sweep_point"], r["method"],
                                            r["parameter"], r["statistic"])):
         lines.append("{sweep_point},{method},{parameter},{statistic},".format(**row)
                      + "%.17g" % row["value"])
-    from pathlib import Path
-    Path(f"{prefix}.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    with open_out(f"{prefix}.csv") as out:
+        out.write(("\n".join(lines) + "\n").encode("ascii"))
     payload = {
         "config": {
             "sweep": summary.config.sweep,

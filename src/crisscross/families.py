@@ -44,13 +44,13 @@ class Link(str, Enum):
 
 
 def expit(t):
-    """Numerically stable inverse logit."""
+    """Inverse logit by exp(min(t, -t)), as exp(-|t|) never overflows but keeps
+    a NaN's sign; 1 + e is formed in place, so two arrays of t's size are held."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(np.minimum(t, -t))
+    out = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 

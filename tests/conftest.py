@@ -1,4 +1,6 @@
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,3 +77,57 @@ def groupwise_oracle(xc, yc, group_size, theta):
     mean_d = np.sum(w * deltas, axis=1)
     return (-float(np.sum(lse)), -float(np.sum(mean_d)),
             -float(np.sum(w * (deltas - mean_d[:, None]) ** 2)))
+
+
+def load_dataset_oracle(path):
+    """The per-line CSV loader that ``dataio.load_dataset`` replaced: every
+    line through one Python loop (oracle)."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except OSError as exc:
+        raise cc.DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise cc.DataError(f"{path}: not ASCII text: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "x,y,r_x,r_y":
+        raise cc.DataError(f"{path}: expected header 'x,y,r_x,r_y'")
+    xs, ys, rxs, rys = [], [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise cc.DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        xs_raw, ys_raw, rx_raw, ry_raw = (p.strip() for p in parts)
+        try:
+            rx = int(rx_raw)
+            ry = int(ry_raw)
+        except ValueError as exc:
+            raise cc.DataError(f"{path}:{lineno}: malformed indicator: {exc}") from exc
+        if rx not in (0, 1) or ry not in (0, 1):
+            raise cc.DataError(f"{path}:{lineno}: indicators must be 0 or 1")
+        if (xs_raw == "") == (rx == 1):
+            raise cc.DataError(
+                f"{path}:{lineno}: x {'absent' if xs_raw == '' else 'present'} "
+                f"but r_x={rx}"
+            )
+        if (ys_raw == "") == (ry == 1):
+            raise cc.DataError(
+                f"{path}:{lineno}: y {'absent' if ys_raw == '' else 'present'} "
+                f"but r_y={ry}"
+            )
+        try:
+            xv = float(xs_raw) if xs_raw else np.nan
+            yv = float(ys_raw) if ys_raw else np.nan
+        except ValueError as exc:
+            raise cc.DataError(f"{path}:{lineno}: malformed numeric: {exc}") from exc
+        if (rx and not math.isfinite(xv)) or (ry and not math.isfinite(yv)):
+            raise cc.DataError(f"{path}:{lineno}: present values must be finite")
+        xs.append(xv)
+        ys.append(yv)
+        rxs.append(rx)
+        rys.append(ry)
+    if not xs:
+        raise cc.DataError(f"{path}: no data rows")
+    return cc.ObservedDataset(np.array(xs), np.array(ys),
+                              np.array(rxs, dtype=np.int8), np.array(rys, dtype=np.int8))

@@ -557,3 +557,37 @@ def test_shipped_study_config_runs(name, tmp_path, capsys):
     mirror = json.loads((tmp_path / f"{name}.json").read_text())["config"]
     assert {k: mirror[k] for k in cfg} == cfg
     assert (tmp_path / f"{name}.csv").read_text().startswith("sweep_point,method,")
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_3(where, dataset_csv, tmp_path, capsys,
+                                                     monkeypatch):
+    dest = str(tmp_path / "missing" / "x" if where == "missing_directory" else tmp_path)
+    for argv in (["simulate", "--n", "10", "--seed", "1", "--out", dest],
+                 ["estimate", str(dataset_csv), "--method", "gee", "--out", dest]):
+        assert _run_without_traceback(argv, capsys) == 3
+    # an experiment writes <prefix>.csv and .json, and finds out before it
+    # runs the study
+    import crisscross.experiments
+    if where == "directory":
+        (tmp_path / "s.csv").mkdir()
+        dest = str(tmp_path / "s")
+
+    def study(config):
+        raise AssertionError("the study ran before its --out was checked")
+    monkeypatch.setattr(crisscross.experiments, "run_experiment", study)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"sweep": "sample_size", "values": [200],
+                                "replicates": 2, "methods": ["pseudolik"]}))
+    argv = ["experiment", "--config", str(path), "--out", dest]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_writers_name_the_path_they_cannot_write(tmp_path):
+    data = complete_dataset([0.0, 1.0], [1.0, 0.0])
+    for path in (tmp_path / "missing" / "d.csv", tmp_path):
+        with pytest.raises(cc.DataError, match="cannot write .*" + str(path.name)):
+            cc.save_dataset(data, path)
+        with pytest.raises(cc.DataError, match="cannot write .*" + str(path.name)):
+            cc.save_report({"n": 1}, path)

@@ -208,3 +208,38 @@ def test_newton_keeps_iterating_while_a_step_is_pending(monkeypatch):
     with pytest.raises(cc.NumericalError,
                        match=r"^test did not converge \(theta = 5 after 1 iterations\)$"):
         newton(evaluate, 0.0, 1, 1e-8, "test")
+
+
+def _expit_masked(t):
+    """Inverse logit by boolean masks, 1 / (1 + e^-t) where t >= 0 and
+    e^t / (1 + e^t) elsewhere (oracle)."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out if out.ndim else float(out)
+
+
+EXPIT_SPECIAL = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308,
+     -2.2e-308, 709.78, -709.78, 745.13, -745.13, 1e308, -1e308]
+    + list(np.array([0x7FF8000000000001, 0xFFF8000000000002],
+                    dtype=np.uint64).view(float)))     # NaNs with payloads
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-10, 1e-3, 1.0, 30.0, 1e3, 1e5])
+@pytest.mark.parametrize("n", [1, 7, 100_003])
+def test_expit_is_bitwise_the_masked_formula(scale, n):
+    t = np.random.default_rng(n).standard_normal(n) * scale
+    t = np.concatenate([t, EXPIT_SPECIAL]) if n == 7 else t
+    assert cc.expit(t).tobytes() == _expit_masked(t).tobytes()
+
+
+def test_expit_keeps_the_masked_formula_on_special_values():
+    assert cc.expit(EXPIT_SPECIAL).tobytes() == _expit_masked(EXPIT_SPECIAL).tobytes()
+    for t in (0.3, -0.0, -745.13, np.float64(2.0), np.array(-1.0)):
+        value = cc.expit(t)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(_expit_masked(t)).tobytes()
