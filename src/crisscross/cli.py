@@ -46,6 +46,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         args.handler(args)
         sys.stdout.flush()      # a closed pipe shows here, not at exit
     except BrokenPipeError:

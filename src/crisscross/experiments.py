@@ -74,7 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"values must be finite numbers, got {list(values)}")
         if self.sweep != "rho" and not all(float(v).is_integer() for v in values):
             raise ConfigError(f"sample sizes must be whole numbers, got {list(values)}")
-        for name, low in (("replicates", 1), ("base_seed", 0), ("n_total", 1)):
+        for name, low in (("replicates", 1), ("base_seed", 0), ("n_total", 1),
+                          ("threads", 1)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
@@ -237,7 +238,7 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
 
 
 def _map_replicates(fn, replicates, threads):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(replicates)))
     return [fn(r) for r in range(replicates)]

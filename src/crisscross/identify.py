@@ -16,6 +16,10 @@ column encodes "treat that parameter as known", so searching subsets of
 columns whose removal restores full rank produces sufficient knowledge
 sets.
 
+The stack is formed over the (k + 1, d) array X of support points, checked
+once: each evaluation makes one predictor vector m = alpha + X beta and
+calls the X-marginal block once on the rows x_1..x_k.
+
 Rank conclusions are generic: degenerate parameter points (e.g.
 beta = 0) can legitimately drop rank, which is why the golden tests
 evaluate at many random points.  Existence/continuity hypotheses behind
@@ -107,92 +111,79 @@ def _report(jacobian: Callable, names):
 # generic theorem-style equation stacks
 # --------------------------------------------------------------------- #
 
-# X-marginal blocks: each returns (names, zeta_term(xi, x0, xpar),
-# d zeta_term / d xpar rows).  xpar is the free sub-vector for the block.
-
-def _x_block(spec: ExpFamilySpec, params: TargetLawParams):
+def _x_block(spec: ExpFamilySpec, params: TargetLawParams, X: np.ndarray):
+    """The X-marginal block on the support rows X: (names, free parameters,
+    term, grad).  term(xp) is the k-vector of zeta-contrast terms of x_1..x_k
+    against x_0, and grad(xp) its (k, n_x) partials in the free sub-vector xp."""
     fam = spec.family_x
+    if fam is Family.MULTIVARIATE_NORMAL and (params.sigma_x is None or params.mu_x is None):
+        raise DomainError("multivariate-normal X needs mu_x and sigma_x")
+    width = (len(params.mu_x) if fam is Family.MULTIVARIATE_NORMAL
+             else len(params.eta_x) if fam is Family.MULTINOMIAL else 1)
+    if X.shape[1] != width:
+        raise DomainError(f"{fam.value} X has width {width}, but the support "
+                          f"points have width {X.shape[1]}")
+    dx = X[1:] - X[0]
+
     if fam is Family.NORMAL:
-        names = ("mu", "phi_x")
+        dx, dsq = dx[:, 0], X[1:, 0] ** 2 - X[0, 0] ** 2
 
-        def term(xi, x0, xp):
+        def term(xp):
             mu, phix = xp
-            return mu * (xi - x0) / phix - (xi ** 2 - x0 ** 2) / (2 * phix)
+            return mu * dx / phix - dsq / (2 * phix)
 
-        def grad(xi, x0, xp):
+        def grad(xp):
             mu, phix = xp
-            return np.array([(xi - x0) / phix,
-                             -mu * (xi - x0) / phix ** 2 + (xi ** 2 - x0 ** 2) / (2 * phix ** 2)])
+            return np.column_stack([dx / phix, -mu * dx / phix ** 2 + dsq / (2 * phix ** 2)])
 
-        return names, np.array([params.eta_x[0], params.phi_x]), term, grad
+        return ("mu", "phi_x"), np.array([params.eta_x[0], params.phi_x]), term, grad
 
-    if fam in (Family.BERNOULLI, Family.POISSON):
-        names = ("eta_x",)
+    if fam in (Family.BERNOULLI, Family.POISSON, Family.EXPONENTIAL):
+        # exponential X's free parameter is the rate lambda_x = -eta_x
+        sign, names = (-1.0, ("lambda_x",)) if fam is Family.EXPONENTIAL else (1.0, ("eta_x",))
 
-        def term(xi, x0, xp):
+        def term(xp):
             extra = 0.0
+            # log x! is formed here, not at build: the Jacobian never needs it,
+            # and lgamma raises on a count near the float range
             if fam is Family.POISSON:
-                extra = -(_log_factorials(xi) - _log_factorials(x0))
-            return xp[0] * (xi - x0) + extra
+                lf = _log_factorials(X)
+                extra = -(lf[1:] - lf[0])
+            return sign * xp[0] * dx[:, 0] + extra
 
-        def grad(xi, x0, xp):
-            return np.array([xi - x0])
-
-        return names, np.array([params.eta_x[0]]), term, grad
-
-    if fam is Family.EXPONENTIAL:
-        names = ("lambda_x",)
-
-        def term(xi, x0, xp):
-            return -xp[0] * (xi - x0)
-
-        def grad(xi, x0, xp):
-            return np.array([-(xi - x0)])
-
-        return names, np.array([-params.eta_x[0]]), term, grad
+        return names, np.array([sign * params.eta_x[0]]), term, lambda xp: sign * dx
 
     if fam is Family.MULTIVARIATE_NORMAL:
-        if params.sigma_x is None or params.mu_x is None:
-            raise DomainError("multivariate-normal X needs mu_x and sigma_x")
         sig_inv = np.linalg.inv(params.sigma_x)
-        d = len(params.mu_x)
-        names = tuple(f"mu_{j + 1}" for j in range(d))
 
-        def term(xi, x0, xp):
-            di, d0 = xi - xp, x0 - xp
-            return -0.5 * di @ sig_inv @ di + 0.5 * d0 @ sig_inv @ d0
+        def term(xp):
+            di, d0 = X[1:] - xp, X[0] - xp
+            return (-0.5 * di @ sig_inv * di).sum(axis=1) + 0.5 * d0 @ sig_inv @ d0
 
-        def grad(xi, x0, xp):
-            return (xi - x0) @ sig_inv
-
-        return names, np.asarray(params.mu_x, dtype=float), term, grad
+        names = tuple(f"mu_{j + 1}" for j in range(width))
+        return names, params.mu_x, term, lambda xp: dx @ sig_inv
 
     if fam is Family.MULTINOMIAL:
-        d = len(params.eta_x)
-        if d < 2:
+        if width < 2:
             raise DomainError("multinomial X needs at least 2 categories")
         # reduced coordinates: eta_d moves to keep the sum fixed, so the
         # gradient block is (x_i - x_0)^T M with M = [I; -1 ... -1]
-        M = np.vstack([np.eye(d - 1), -np.ones((1, d - 1))])
+        M = np.vstack([np.eye(width - 1), -np.ones((1, width - 1))])
         eta_sum = float(np.sum(params.eta_x))
-        names = tuple(f"eta_{j + 1}" for j in range(d - 1))
 
-        def term(xi, x0, xp):
-            eta_full = np.append(xp, eta_sum - np.sum(xp))
-            return float((xi - x0) @ eta_full
-                         - (_log_factorials(xi) - _log_factorials(x0)))
+        def term(xp):
+            lf = _log_factorials(X)
+            return dx @ np.append(xp, eta_sum - np.sum(xp)) - (lf[1:] - lf[0])
 
-        def grad(xi, x0, xp):
-            return (xi - x0) @ M
-
-        return names, np.asarray(params.eta_x[:-1], dtype=float), term, grad
+        names = tuple(f"eta_{j + 1}" for j in range(width - 1))
+        return names, params.eta_x[:-1], term, lambda xp: dx @ M
 
     raise DomainError(f"unsupported X family {fam.value}")
 
 
-def _log_factorials(counts) -> float:
-    """sum_j log(counts_j!), the Poisson and multinomial base measure."""
-    return sum(math.lgamma(c + 1.0) for c in counts)
+def _log_factorials(X) -> np.ndarray:
+    """sum_j log(x_j!) of each row of X, the Poisson and multinomial base measure."""
+    return np.frompyfunc(math.lgamma, 1, 1)(X + 1.0).astype(float).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -205,92 +196,67 @@ class EquationStack:
     jacobian: Callable
 
 
+def _support_array(support_points, d: int) -> np.ndarray:
+    """The support points as a (k + 1, d) array of distinct finite rows; a
+    univariate support may list its points as scalars."""
+    bad = f"support points must be finite vectors of length {d}, beta's length"
+    try:
+        X = np.array(support_points, dtype=float, ndmin=1)
+    except (TypeError, ValueError, OverflowError):     # ragged, or not floats
+        raise DomainError(bad) from None
+    if len(X) < 2:
+        raise DomainError("need at least two support points (k >= 1)")
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.shape[1:] != (d,) or not np.all(np.isfinite(X)):
+        raise DomainError(bad)
+    if len(set(map(tuple, X.tolist()))) != len(X):
+        raise DomainError("support points must be distinct")
+    return X
+
+
 def equation_stack(spec: ExpFamilySpec, params: TargetLawParams,
                    support_points) -> EquationStack:
-    support = [np.asarray(p, dtype=float) for p in support_points]
-    if len(support) < 2:
-        raise DomainError("need at least two support points (k >= 1)")
-    flat = [tuple(np.atleast_1d(p)) for p in support]
-    if len(set(flat)) != len(flat):
-        raise DomainError("support points must be distinct")
-
+    d = len(params.beta)
+    X = _support_array(support_points, d)
     table = link_table(spec.family_y_given_x, spec.link)
-    beta = params.beta
-    d = len(beta)
     phi_free = (table.family is Family.NORMAL
                 and "phi" not in spec.known_nuisance)
-    x_names, x_par0, x_term, x_grad = _x_block(spec, params)
+    x_names, x_par0, x_term, x_grad = _x_block(spec, params, X)
 
     beta_names = ("beta",) if d == 1 else tuple(f"beta_{j + 1}" for j in range(d))
     names = ("alpha",) + beta_names + (("phi",) if phi_free else ()) + x_names
-    theta0 = np.concatenate([[params.alpha], beta,
+    theta0 = np.concatenate([[params.alpha], params.beta,
                              [params.phi] if phi_free else [], x_par0])
 
-    def unpack(vec):
-        a = vec[0]
-        b = vec[1:1 + d]
-        pos = 1 + d
-        if phi_free:
-            ph = vec[pos]
-            pos += 1
-        else:
-            ph = params.phi
-        return a, b, ph, vec[pos:]
-
-    def predictor(a, b, x):
-        return float(a + np.atleast_1d(x) @ b)
+    def at(vec):
+        """Predictors m = alpha + X beta, dispersion and X-block parameters."""
+        m = vec[0] + X @ vec[1:1 + d]
+        # the error names the first bad value of the contrasts (m_1, m_0),
+        # (m_2, m_0), ..., so m_1 is checked before m_0
+        check_predictor_domain(table, np.concatenate([m[1::-1], m[2:]]))
+        return m, vec[1 + d] if phi_free else params.phi, vec[1 + d + phi_free:]
 
     def equations(vec):
-        a, b, ph, xp = unpack(vec)
-        m0 = predictor(a, b, support[0])
-        out = []
-        for xi in support[1:]:
-            mi = predictor(a, b, xi)
-            check_predictor_domain(table, (mi, m0))
-            out.append((table.phi(mi) - table.phi(m0)) / ph)
-        for xi in support[1:]:
-            mi = predictor(a, b, xi)
-            out.append(-(table.zeta(mi) - table.zeta(m0)) / ph
-                       + _scalarize(x_term(np.atleast_1d(xi), np.atleast_1d(support[0]), xp)))
-        return np.array(out, dtype=float)
+        m, ph, xp = at(vec)
+        phi, zeta = table.phi(m), table.zeta(m)
+        return np.concatenate([(phi[1:] - phi[0]) / ph,
+                               -(zeta[1:] - zeta[0]) / ph + x_term(xp)])
 
     def jacobian(vec):
-        a, b, ph, xp = unpack(vec)
-        x0v = np.atleast_1d(support[0])
-        m0 = predictor(a, b, support[0])
-        n_x = len(x_names)
-        rows = []
-        for xi in support[1:]:
-            xiv = np.atleast_1d(xi)
-            mi = predictor(a, b, xi)
-            check_predictor_domain(table, (mi, m0))
-            fp_i, fp_0 = table.phi_prime(mi), table.phi_prime(m0)
-            row = np.concatenate([
-                [(fp_i - fp_0) / ph],
-                (fp_i * xiv - fp_0 * x0v) / ph,
-                [-(table.phi(mi) - table.phi(m0)) / ph ** 2] if phi_free else [],
-                np.zeros(n_x),
-            ])
-            rows.append(row)
-        for xi in support[1:]:
-            xiv = np.atleast_1d(xi)
-            mi = predictor(a, b, xi)
-            zp_i, zp_0 = table.zeta_prime(mi), table.zeta_prime(m0)
-            row = np.concatenate([
-                [-(zp_i - zp_0) / ph],
-                -(zp_i * xiv - zp_0 * x0v) / ph,
-                [(table.zeta(mi) - table.zeta(m0)) / ph ** 2] if phi_free else [],
-                np.asarray(x_grad(xiv, x0v, xp), dtype=float).reshape(-1),
-            ])
-            rows.append(row)
-        return np.array(rows, dtype=float)
+        m, ph, xp = at(vec)
+        fp, zp = table.phi_prime(m), table.zeta_prime(m)
+        phi_cols = [(fp[1:] - fp[0]) / ph, (fp[1:, None] * X[1:] - fp[0] * X[0]) / ph]
+        zeta_cols = [-(zp[1:] - zp[0]) / ph, -(zp[1:, None] * X[1:] - zp[0] * X[0]) / ph]
+        if phi_free:
+            phi, zeta = table.phi(m), table.zeta(m)
+            phi_cols.append(-(phi[1:] - phi[0]) / ph ** 2)
+            zeta_cols.append((zeta[1:] - zeta[0]) / ph ** 2)
+        return np.block([[np.column_stack(phi_cols), np.zeros((len(X) - 1, len(x_names)))],
+                         [np.column_stack(zeta_cols), x_grad(xp)]])
 
     return EquationStack(param_names=names, theta0=theta0, equations=equations,
                          jacobian=jacobian)
-
-
-def _scalarize(v):
-    return float(np.asarray(v).reshape(()))
 
 
 def build_jacobian(spec: ExpFamilySpec, params: TargetLawParams,

@@ -293,6 +293,21 @@ def test_identify_case_without_support_is_config_error(capsys):
                                   capsys) == 2
 
 
+@pytest.mark.parametrize("support", [[[0.0], [1.0, 2.0], [3.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                         ids=["ragged", "too-wide"])
+def test_identify_support_of_the_wrong_width_is_a_domain_error(support, tmp_path, capsys):
+    cfg = {"family_x": "exponential", "family_y_given_x": "exponential",
+           "theta": {"alpha": -1.0, "beta": [-0.5], "eta_x": [-1.0]},
+           "support_points": support}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["identify", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "domain error: support points must be finite vectors of length 1, " \
+                  "beta's length\n"
+
+
 _EXPERIMENT = ["experiment", "--config", "CONFIG"]
 
 
@@ -396,6 +411,10 @@ def test_exit_code_3_on_non_ascii_bytes(tmp_path, capsys):
     ["verify-counterexample", "--step", "0"],
     ["verify-counterexample", "--step", "-0.01"],
     ["verify-counterexample", "--step", "nan"],
+    ["simulate", "--threads", "0"],
+    ["identify", "--case", "binary", "--threads", "-1"],
+    ["estimate", "DATA", "--method", "pseudolik", "--threads", "0"],
+    ["verify-counterexample", "--threads", "-1"],
 ])
 def test_exit_code_2_on_invalid_option_value(argv, dataset_csv, capsys):
     argv = [str(dataset_csv) if a == "DATA" else a for a in argv]

@@ -170,6 +170,12 @@ def test_config_validation():
             cc.ExperimentConfig(**{"sweep": "rho", "values": (0.1,), **bad})
 
 
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2"])
+def test_threads_must_be_an_integer_of_at_least_one(threads):
+    with pytest.raises(cc.ConfigError, match="threads must be an integer >= 1"):
+        cc.ExperimentConfig(sweep="rho", values=(0.1,), threads=threads)
+
+
 def test_tidy_csv_layout(tmp_path):
     cc.write_summary(cc.run_experiment(small_config(methods=("pseudolik",))),
                      tmp_path / "out")

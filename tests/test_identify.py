@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +106,13 @@ def test_link_singularity_is_domain_error():
         case.build(theta, (-1.0, 0.5, 1.0, 2.0, 3.0))   # alpha + beta*(-1) = 0
 
 
+def test_out_of_domain_predictor_names_the_first_contrasts_value():
+    # every predictor a + b x is positive, outside exponential Y's domain
+    case = case_study("exponential_exponential")
+    with pytest.raises(cc.DomainError, match=r"linear predictor np\.float64\(0\.9\) outside"):
+        case.build({"a": 1.0, "b": -0.1, "lambda_x": 1.0}, (0.0, 1.0, 2.0, 3.0))
+
+
 @pytest.mark.parametrize("support", [(1e300, 1.0, 2.0, 3.0), (1e160, 1.0, 2.0, 3.0)])
 def test_overflowing_jacobian_is_numerical_error(support):
     # support points whose Jacobian entries overflow the float range
@@ -201,11 +210,20 @@ def _case_to_spec(name, th):
         spec = cc.ExpFamilySpec(Family.EXPONENTIAL, Family.NORMAL, Link.CANONICAL)
         params = cc.TargetLawParams(alpha=th["a"], beta=[th["b"]], phi=th["phi"],
                                     eta_x=[-th["lambda_x"]])
-    else:
+    elif name == "exponential_exponential":
         spec = cc.ExpFamilySpec(Family.EXPONENTIAL, Family.EXPONENTIAL,
                                 Link.CANONICAL)
         params = cc.TargetLawParams(alpha=th["a"], beta=[th["b"]], phi=1.0,
                                     eta_x=[-th["lambda_x"]])
+    elif name == "multivariate_normal":
+        spec = case_study(name).spec
+        params = cc.TargetLawParams(alpha=th["alpha"], beta=th["beta"], phi=th["phi"],
+                                    eta_x=np.zeros(len(th["mu"])), mu_x=th["mu"],
+                                    sigma_x=th["sigma"])
+    else:
+        spec = case_study(name).spec
+        params = cc.TargetLawParams(alpha=th["alpha"], beta=th["beta"], phi=th["phi"],
+                                    eta_x=th["eta"])
     return spec, params
 
 
@@ -222,6 +240,56 @@ def _fd_jacobian(stack):
         cols.append((stack.equations(tp) - stack.equations(tm)) / (2 * h))
     assert base.shape == cols[0].shape
     return np.column_stack(cols)
+
+
+# fixed values of both callables: the finite-difference tests only compare
+# equations with jacobian, so a change that moved both together would pass them
+STACK_PINS = json.loads((Path(__file__).parent / "identify_stacks.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(STACK_PINS))
+def test_generic_stack_values_are_pinned(name):
+    pin = STACK_PINS[name]
+    spec, params = _case_to_spec(name, pin["theta"])
+    stack = equation_stack(spec, params, pin["support"])
+    assert stack.param_names == tuple(pin["param_names"])
+    for got, want in ((stack.equations(stack.theta0), pin["equations"]),
+                      (stack.jacobian(stack.theta0), pin["jacobian"])):
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+NORMAL_SPEC = cc.ExpFamilySpec(Family.NORMAL, Family.NORMAL, Link.CANONICAL)
+NORMAL_PARAMS = cc.TargetLawParams(alpha=0.1, beta=[0.5], phi=1.3, eta_x=[0.4])
+
+
+@pytest.mark.parametrize("support", [
+    [[0.0], [1.0, 2.0]], [0.0, "a", 2.0], [0.0, float("nan"), 2.0],
+    [0.0, float("inf")], [0.0, 10 ** 400], [[0.0, 1.0], [1.0, 2.0]], [[[0.0]], [[1.0]]],
+], ids=["ragged", "string", "nan", "inf", "huge-int", "too-wide", "three-axes"])
+def test_support_points_must_be_finite_vectors_of_betas_length(support):
+    with pytest.raises(cc.DomainError,
+                       match="support points must be finite vectors of length 1"):
+        cc.build_jacobian(NORMAL_SPEC, NORMAL_PARAMS, support)
+
+
+def test_x_parameters_must_have_the_supports_width():
+    mvn = cc.TargetLawParams(alpha=0.3, beta=[0.8, -0.5], phi=1.2, eta_x=np.zeros(2),
+                             mu_x=[0.1, -0.4, 0.2], sigma_x=np.eye(3))
+    with pytest.raises(cc.DomainError, match="multivariate_normal X has width 3, "
+                                             "but the support points have width 2"):
+        cc.build_jacobian(case_study("multivariate_normal").spec, mvn,
+                          mvn_support(np.random.default_rng(0)))
+    multinomial = cc.TargetLawParams(alpha=0.3, beta=[0.5, -0.7, 1.1], phi=1.2,
+                                     eta_x=[0.2, -0.3, 0.4, 0.1])
+    with pytest.raises(cc.DomainError, match="multinomial X has width 4"):
+        cc.build_jacobian(case_study("multinomial").spec, multinomial,
+                          multinomial_support())
+    poisson = cc.TargetLawParams(alpha=0.3, beta=[0.5, -0.7], phi=1.2, eta_x=[0.2])
+    with pytest.raises(cc.DomainError, match="poisson X has width 1"):
+        cc.build_jacobian(case_study("poisson_normal").spec, poisson,
+                          [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
 
 
 def test_multivariate_jacobian_matches_finite_differences():
