@@ -140,7 +140,10 @@ def _common(p, seed=True, config=True):
     if config:
         p.add_argument("--config", type=str, default=None,
                        help="JSON configuration file")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for experiment replicates and bootstrap "
+                        "resamples, with byte-identical output; other commands "
+                        "ignore it (default 1)")
 
 
 def _method(p):
@@ -364,7 +367,7 @@ def _cmd_bootstrap(args):
     from .experiments import bootstrap
     data = load_dataset(args.data)
     boot = bootstrap(data, lambda d: row.fit(d, options, point_only=True)[0],
-                     args.resamples, args.seed)
+                     args.resamples, args.seed, threads=args.threads)
     _emit({"se": boot.se, "n_failed": boot.n_failed,
            "n_resamples": boot.n_resamples}, args.out)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .model import ObservedDataset
 
 _SAVE_ROWS = 1 << 13     # rows per write: about 1 MB of line strings
 _LOAD_ROWS = 1 << 13     # lines per parse
+_ASCII_BYTES = 1 << 16   # bytes per read of the ASCII check
 
 
 @contextmanager
@@ -62,27 +63,58 @@ def save_dataset(data: ObservedDataset, path) -> None:
 
 
 def load_dataset(path) -> ObservedDataset:
+    """The dataset in the CSV file at path, read through one handle in blocks
+    of _LOAD_ROWS lines, so the text held at once is one block's, not the
+    file's.  A file that is not ASCII fails before its first line is parsed,
+    and the lines are split as ``str.splitlines`` splits the whole text."""
     try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
+        with open(path, "rb") as fh:
+            _check_ascii(path, fh)
+            fh.seek(0)
+            blocks = _parse_blocks(path, fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text: {exc}") from exc
-    if not lines or lines[0].strip() != "x,y,r_x,r_y":
-        raise DataError(f"{path}: expected header 'x,y,r_x,r_y'")
-    blocks = []
-    for lo in range(1, len(lines), _LOAD_ROWS):
-        block = lines[lo:lo + _LOAD_ROWS]
-        try:
-            blocks.append(_parse_block(block))
-        except ValueError:
-            rows = [_parse_line(path, lineno, line)
-                    for lineno, line in enumerate(block, lo + 1) if line]
-            x, y, r_x, r_y = np.array(rows, dtype=float).reshape(-1, 4).T
-            blocks.append((x, y, r_x.astype(np.int8), r_y.astype(np.int8)))
     if not any(len(cols[0]) for cols in blocks):
         raise DataError(f"{path}: no data rows")
     return ObservedDataset(*(np.concatenate(col) for col in zip(*blocks)))
+
+
+def _check_ascii(path, fh) -> None:
+    """DataError naming the first non-ASCII byte at its offset in the file,
+    in the words of a failed decode of the whole file."""
+    offset = 0
+    for chunk in iter(lambda: fh.read(_ASCII_BYTES), b""):
+        try:
+            chunk.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not ASCII text: '{exc.encoding}' codec can't "
+                            f"decode byte 0x{chunk[exc.start]:02x} in position "
+                            f"{offset + exc.start}: {exc.reason}") from exc
+        offset += len(chunk)
+
+
+def _parse_blocks(path, fh) -> list:
+    """The columns of each block of lines after the header.  A block of
+    save_dataset's exact form is parsed in numpy, any other line by line,
+    with line numbers counted from 1 at the header."""
+    blocks, lineno = [], 0      # lines read so far, the header included
+    while raw := list(islice(fh, _LOAD_ROWS)):
+        lines = b"".join(raw).decode("ascii").splitlines()
+        if lineno == 0:
+            if lines[0].strip() != "x,y,r_x,r_y":
+                break
+            lines, lineno = lines[1:], 1
+        try:
+            blocks.append(_parse_block(lines))
+        except ValueError:
+            rows = [_parse_line(path, n, line)
+                    for n, line in enumerate(lines, lineno + 1) if line]
+            x, y, r_x, r_y = np.array(rows, dtype=float).reshape(-1, 4).T
+            blocks.append((x, y, r_x.astype(np.int8), r_y.astype(np.int8)))
+        lineno += len(lines)
+    if lineno == 0:
+        raise DataError(f"{path}: expected header 'x,y,r_x,r_y'")
+    return blocks
 
 
 def _parse_block(lines):

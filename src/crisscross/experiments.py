@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -238,10 +239,40 @@ def run_experiment(config: ExperimentConfig) -> ReplicationSummary:
 
 
 def _map_replicates(fn, replicates, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(replicates)))
-    return [fn(r) for r in range(replicates)]
+    """[fn(r) for r in range(replicates)] on ``threads`` workers: the calling
+    thread and threads - 1 pool threads each take the next r in turn.  After
+    a raise no worker takes a new r, and the exception of the smallest r
+    that raised is re-raised: the one the serial loop would raise, as every
+    r below it was taken first."""
+    if threads <= 1 or replicates <= 1:
+        return [fn(r) for r in range(replicates)]
+    results = [None] * replicates
+    errors: dict = {}
+    todo = iter(range(replicates))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                r = None if errors else next(todo, None)
+            if r is None:
+                return
+            try:
+                results[r] = fn(r)
+            except BaseException as exc:     # re-raised below, on the calling thread
+                with lock:
+                    errors[r] = exc
+                return
+
+    helpers = min(threads, replicates) - 1
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _collect(datasets, fit, threads):
@@ -332,21 +363,37 @@ class BootstrapResult:
     n_resamples: int
 
 
-def bootstrap(data: ObservedDataset, fit_fn, n_resamples: int, seed: int
-              ) -> BootstrapResult:
-    """Row resampling with replacement; SE = SD of resample estimates."""
+def bootstrap(data: ObservedDataset, fit_fn, n_resamples: int, seed: int,
+              threads: int = 1) -> BootstrapResult:
+    """Row resampling with replacement; SE = SD of resample estimates.
+
+    Resample b is the b-th draw of rows from the one stream
+    SeedSequence((seed, 0xB00)), whatever ``threads``: a worker takes the
+    next b and its draw under one lock, and fits outside it.  The estimates
+    are then read in order of b, so the SEs, the failure count and every
+    message are the same for any number of threads."""
     if n_resamples < 2:
         raise ConfigError("need at least 2 bootstrap resamples")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB00)))
-    collected: dict = {}
-    n_failed = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, data.n_total, data.n_total)
+    drawn = iter(range(n_resamples))
+    lock = threading.Lock()
+
+    def resample(_):
+        with lock:
+            b, idx = next(drawn), rng.integers(0, data.n_total, data.n_total)
         sample = ObservedDataset(data.x[idx], data.y[idx],
                                  data.r_x[idx], data.r_y[idx])
+        del idx     # not held through the fit
         try:
-            est = fit_fn(sample)
+            return b, fit_fn(sample)
         except CrissCrossError:
+            return b, None
+
+    collected: dict = {}
+    n_failed = 0
+    for _, est in sorted(_map_replicates(resample, n_resamples, threads),
+                         key=lambda result: result[0]):
+        if est is None:
             n_failed += 1
             continue
         for k, v in est.items():

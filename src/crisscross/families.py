@@ -177,6 +177,6 @@ def check_predictor_domain(table: LinkTable, m) -> None:
     if not np.all(ok):
         bad = np.asarray(m, dtype=float)[~np.asarray(ok)]
         raise DomainError(
-            f"linear predictor {bad.ravel()[0]!r} outside the domain of "
+            f"linear predictor {float(bad.ravel()[0])} outside the domain of "
             f"{table.family.value}/{table.link.value}"
         )

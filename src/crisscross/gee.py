@@ -320,9 +320,14 @@ def solve_gee(data: ObservedDataset, model, pi_model: PropensityModel, f
     _, yc, pi, F = cases
     f_over_pi = F * (1.0 / pi)[:, None]
 
+    @np.errstate(over="ignore", invalid="ignore")      # checked below instead
     def evaluate(theta):
         g = _residual(cases, model, theta, data.n_total)
         J = -f_over_pi.T @ model.a(yc, theta) / data.n_total
+        for what, value in (("residual", g), ("Jacobian", J)):
+            if not np.all(np.isfinite(value)):
+                raise NumericalError(f"GEE fit: the {what} is not finite; the data "
+                                     "are too large in magnitude")
         return -norm(g), g, J
 
     theta, it, g = newton(evaluate, model.theta0(), 1, ROOT_TOL, "GEE fit")

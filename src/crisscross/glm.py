@@ -105,5 +105,9 @@ def _information(X, p_hat):
 
 
 def _loglik(X, t, beta):
+    """sum(t * lin - log(1 + e^lin)), formed in lin's own array."""
     lin = X @ beta
-    return _finite("log-likelihood", float(np.sum(t * lin - np.logaddexp(0.0, lin))))
+    soft = np.logaddexp(0.0, lin)
+    lin *= t
+    lin -= soft
+    return _finite("log-likelihood", float(np.sum(lin)))

@@ -123,6 +123,7 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams, X: np.ndarray):
     if X.shape[1] != width:
         raise DomainError(f"{fam.value} X has width {width}, but the support "
                           f"points have width {X.shape[1]}")
+    _check_support(fam, X)
     dx = X[1:] - X[0]
 
     if fam is Family.NORMAL:
@@ -179,6 +180,31 @@ def _x_block(spec: ExpFamilySpec, params: TargetLawParams, X: np.ndarray):
         return names, params.eta_x[:-1], term, lambda xp: dx @ M
 
     raise DomainError(f"unsupported X family {fam.value}")
+
+
+def _counts(X) -> np.ndarray:
+    return ((X >= 0) & (X == np.floor(X))).all(axis=1)
+
+
+# X's family -> (what its support points must be, which rows of X are)
+_SUPPORTS = {
+    Family.BERNOULLI: ("0 or 1", lambda X: (X[:, 0] == 0) | (X[:, 0] == 1)),
+    Family.POISSON: ("a count", _counts),
+    Family.EXPONENTIAL: ("at least 0", lambda X: X[:, 0] >= 0),
+    Family.MULTINOMIAL: ("a vector of counts with the first point's sum, the number "
+                         "of trials",
+                         lambda X: _counts(X) & (X.sum(axis=1) == X[0].sum())),
+}
+
+
+def _check_support(fam: Family, X: np.ndarray) -> None:
+    """DomainError naming the first support point outside X's support."""
+    if fam in _SUPPORTS:
+        what, inside = _SUPPORTS[fam]
+        bad = X[~inside(X)]
+        if len(bad):
+            point = bad[0].tolist() if X.shape[1] > 1 else float(bad[0, 0])
+            raise DomainError(f"{fam.value} X support point {point} is not {what}")
 
 
 def _log_factorials(X) -> np.ndarray:

@@ -110,6 +110,23 @@ def test_bootstrap_command(dataset_csv, capsys):
     assert payload["n_resamples"] == 25
 
 
+def test_bootstrap_threads_run_the_resamples_with_the_same_output(dataset_csv, capsys,
+                                                                  monkeypatch):
+    import crisscross.experiments as ex
+    workers = []
+    map_replicates = ex._map_replicates
+    monkeypatch.setattr(ex, "_map_replicates",
+                        lambda fn, n, threads: workers.append(threads)
+                        or map_replicates(fn, n, threads))
+    outputs = []
+    for threads in ("1", "2"):
+        assert main(["bootstrap", str(dataset_csv), "--method", "gee",
+                     "--resamples", "6", "--threads", threads]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert workers == [1, 2]
+    assert outputs[0] == outputs[1]
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = {"sweep": "sample_size", "values": [200], "replicates": 3,
            "base_seed": 9, "methods": ["pseudolik"]}
@@ -308,6 +325,27 @@ def test_identify_support_of_the_wrong_width_is_a_domain_error(support, tmp_path
                   "beta's length\n"
 
 
+@pytest.mark.parametrize("case, support, message", [
+    ("poisson_normal", [-1.0, 0.5, 1.0, 2.0], "poisson X support point -1.0 is not a count"),
+    ("poisson_normal", [0.0, 0.5, 1.0], "poisson X support point 0.5 is not a count"),
+    ("bernoulli_normal", [0.0, 2.0], "bernoulli X support point 2.0 is not 0 or 1"),
+    ("exponential_normal", [0.0, -0.5, 1.0],
+     "exponential X support point -0.5 is not at least 0"),
+    ("multinomial", [[2, 0, 0], [0, 2, 0], [1, 1, 1]],
+     "multinomial X support point [1.0, 1.0, 1.0] is not a vector of counts"),
+    ("multinomial", [[2, 0, 0], [0, 2, 0], [3, -1, 0]],
+     "multinomial X support point [3.0, -1.0, 0.0] is not a vector of counts"),
+], ids=["poisson-negative", "poisson-fraction", "bernoulli-two", "exponential-negative",
+        "multinomial-other-sum", "multinomial-negative"])
+def test_identify_support_outside_the_x_family_is_a_domain_error(case, support, message,
+                                                                  tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"case": case, "support_points": support}))
+    code = main(["identify", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"domain error: {message}"), err
+
+
 _EXPERIMENT = ["experiment", "--config", "CONFIG"]
 
 
@@ -364,6 +402,27 @@ def test_covariate_near_the_float_range_is_a_numerical_failure(tmp_path, capsys)
     assert code in (0, 3)
     if code == 0:
         assert all(np.isfinite(list(json.loads(out)["se"].values())))
+
+
+# y = 1e300 on the one complete case: the GEE Jacobian's sum of y^2 / pi overflows
+OVERFLOWING_Y = "x,y,r_x,r_y\n1,1e300,1,1\n" + ",,0,0\n" * 11 + "1,,1,0\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["estimate", "--method", "gee"], 4,
+     "numerical failure: GEE fit: the Jacobian is not finite"),
+    (["bootstrap", "--method", "gee", "--resamples", "3"], 3,
+     "data error: 3 of 3 bootstrap resamples failed"),
+], ids=["estimate", "bootstrap"])
+def test_gee_jacobian_that_overflows_prints_one_stderr_line(argv, code, message, tmp_path):
+    # a fresh interpreter, so numpy's overflow warning would print, not raise
+    path = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOWING_Y)
+    proc = _cli_process([argv[0], str(path), *argv[1:]])
+    out, err = proc.communicate(timeout=120)
+    lines = err.decode().splitlines()
+    assert proc.returncode == code and out == b"" and len(lines) == 1, lines
+    assert lines[0].startswith(message)
 
 
 def test_exit_code_3_on_non_finite_value(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crisscross as cc
-from crisscross.experiments import _cell_stats, _collect
+from crisscross.experiments import _cell_stats, _collect, _map_replicates
 from crisscross.model import ESTIMATORS
 
 from conftest import UNDERFLOWED, complete_dataset
@@ -226,3 +226,98 @@ def test_bootstrap_degenerate_data_flagged():
 def test_bootstrap_needs_two_resamples(binary_data):
     with pytest.raises(cc.ConfigError):
         cc.bootstrap(binary_data, _fit_logor, 1, seed=1)
+
+
+@pytest.fixture(scope="module")
+def section61_data():
+    return cc.simulate_dataset(cc.ScenarioConfig(cc.SECTION61_TARGET,
+                                                 cc.SECTION61_MECHANISM, 800, 3)).observed
+
+
+def _row_fit(method, options):
+    row = ESTIMATORS[method]
+    return lambda d: row.fit(d, options, point_only=True)[0]
+
+
+@pytest.mark.parametrize("method, options", [
+    ("gee_nonoptimal", {}), ("pseudolik", {}), ("binary_2x2", {"theta11": 0.723}),
+], ids=["gee", "pseudolik", "binary_2x2"])
+def test_threaded_bootstrap_equals_the_serial_one(method, options, section61_data,
+                                                   binary_data):
+    data = binary_data if method == "binary_2x2" else section61_data
+    fit = _row_fit(method, options)
+    serial = cc.bootstrap(data, fit, 8, seed=4)
+    assert serial.n_failed == 0
+    for threads in (2, 3):
+        boot = cc.bootstrap(data, fit, 8, seed=4, threads=threads)
+        assert (boot.se, boot.n_failed, boot.n_resamples) == (
+            serial.se, serial.n_failed, serial.n_resamples)
+
+
+def test_threaded_bootstrap_counts_the_same_failures():
+    # six complete rows: some resamples are separated or tied in y
+    data = complete_dataset([0.1, 0.7, 1.3, -0.4, 0.5, 1.1],
+                            [0.5, -0.2, 2.0, 0.9, 0.3, 1.4])
+    fit = _row_fit("pseudolik", {})
+    serial = cc.bootstrap(data, fit, 16, seed=0)
+    assert 0 < serial.n_failed < 14
+    for threads in (2, 3):
+        assert cc.bootstrap(data, fit, 16, seed=0, threads=threads) == serial
+
+
+def test_threaded_bootstrap_whose_every_resample_fails_raises_the_same_error():
+    data = complete_dataset(*UNDERFLOWED)
+    messages = set()
+    for threads in (1, 2, 3):
+        with pytest.raises(cc.DataError) as info:
+            cc.bootstrap(data, _row_fit("pseudolik", {}), 6, seed=1, threads=threads)
+        messages.add(str(info.value))
+    assert messages == {"6 of 6 bootstrap resamples failed; an SE needs at least "
+                        "2 estimates per parameter"}
+
+
+def test_bootstrap_resample_b_is_the_b_th_draw_under_thread_switches():
+    # more workers than cores and a thread switch every microsecond; the
+    # estimates span 17 orders of magnitude, so a draw handed to the wrong
+    # resample reorders their sum and moves the SD
+    import sys
+    data = complete_dataset(np.arange(50.0), np.arange(50.0) % 7)
+
+    def fit(d):
+        return {"m": 10.0 ** (d.x[0] % 17) + d.y[1]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial = cc.bootstrap(data, fit, 2000, seed=9)
+        for _ in range(3):
+            assert cc.bootstrap(data, fit, 2000, seed=9, threads=4) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_map_replicates_keeps_order_and_takes_each_index_once():
+    import sys
+    import time
+    calls = [0] * 400
+
+    def fn(r):
+        calls[r] += 1       # one worker per index, so no lock is needed
+        time.sleep(1e-4 * (r % 3))
+        return r * r
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _map_replicates(fn, 400, 4) == [r * r for r in range(400)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [1] * 400
+
+
+def test_map_replicates_reraises_the_serial_loops_exception():
+    def fn(r):
+        if r in (3, 5):
+            raise ValueError(f"replicate {r}")
+        return r
+    for threads in (1, 2, 3):
+        with pytest.raises(ValueError, match="replicate 3"):
+            _map_replicates(fn, 8, threads)

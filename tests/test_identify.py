@@ -109,7 +109,7 @@ def test_link_singularity_is_domain_error():
 def test_out_of_domain_predictor_names_the_first_contrasts_value():
     # every predictor a + b x is positive, outside exponential Y's domain
     case = case_study("exponential_exponential")
-    with pytest.raises(cc.DomainError, match=r"linear predictor np\.float64\(0\.9\) outside"):
+    with pytest.raises(cc.DomainError, match=r"linear predictor 0\.9 outside"):
         case.build({"a": 1.0, "b": -0.1, "lambda_x": 1.0}, (0.0, 1.0, 2.0, 3.0))
 
 
@@ -177,8 +177,9 @@ def test_jacobian_matches_finite_differences(name):
     while checked < 50:
         theta = case.random_theta(rng)
         support = case.default_support
-        if name in ("poisson_normal", "exponential_normal",
-                    "exponential_exponential"):
+        if name == "poisson_normal":        # Poisson support points are counts
+            support = tuple(np.sort(rng.choice(9, size=4, replace=False)) + 0.0)
+        elif name in ("exponential_normal", "exponential_exponential"):
             support = tuple(sorted(rng.uniform(0.0, 4.0, size=4)))
         spec, params = _case_to_spec(name, theta)
         try:
