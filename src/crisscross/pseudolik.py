@@ -37,7 +37,8 @@ sqrt(N) (theta_hat - theta_0) -> N(0, B / A^2) where A and B average
 d zeta / d theta over pairs and 4 zeta_12 zeta_13 over triples (observed
 ones).  d zeta / d theta is the Hessian term, so a_hat = -2 H / (n (n-1)),
 and with zeta row sums R_i, b_hat = 4 (sum R_i^2 - sum_{i != k} zeta_ik^2)
-/ (n (n-1) (n-2)), from one pass at theta_hat.  Over the cells, R_i is
+/ (n (n-1) (n-2)), from one pass at theta_hat: in a fit, Newton's last,
+which sums the rows as well (``_fit``).  Over the cells, R_i is
 its cell's sum_b w_b zeta_ab, sum_i R_i^2 = sum_a w_a R_a^2 and
 sum_{i != k} zeta_ik^2 = sum_{a != b} w_a w_b zeta_ab^2.  Var(theta_hat) ~=
 (b_hat / a_hat^2) / n_complete; n and N are both in the result.
@@ -60,6 +61,8 @@ SCORE_TOL = 1e-8
 _BLOCK = 1 << 16        # d-matrix cells (or group contrasts) per kernel block
 _CACHED_CONTRASTS = 3e7  # most contrasts (g! - 1 per group) a groupwise fit
                          # keeps; a fit with more raises DomainError
+_ROWS_STEP = 1e-4       # a with-variance fit sums the rows of every Newton
+                        # evaluation this close, relative, to the one before
 _LOG2 = math.log(2.0)
 
 
@@ -267,12 +270,22 @@ def _group_cases(data: ObservedDataset, group_size: int):
 
 
 def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> float:
-    """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id))."""
+    """Sum over size-g groups of -log sum_P exp(theta (S_P - S_id)).  A
+    value that overflows raises NumericalError: an exp(-theta |d|) that
+    underflows to 0 is exact to rounding, so a finite sum is the objective."""
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     xc, yc = _group_cases(data, group_size)
-    if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
-        x, y, w = _cells(xc, yc)
-        return _pass(x, y, w, theta, _workspace(len(x))).loglik
-    return _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size), theta)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
+            x, y, w = _cells(xc, yc)
+            value = _pass(x, y, w, theta, _workspace(len(x))).loglik
+        else:
+            value = _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size),
+                                          theta)[0]
+    if not math.isfinite(value):
+        raise NumericalError(f"the g = {group_size} objective overflows at theta = {theta:g}")
+    return value
 
 
 def _groupwise_score_hess(delta_blocks, theta):
@@ -314,7 +327,7 @@ def fit_groupwise(data: ObservedDataset, group_size: int) -> PseudoLikResult:
     return fit_pairwise(design) if group_size == 2 else _fit(design, group_size)
 
 
-def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
+def _fit(design: PairDesign, group_size: int, variance: bool = False) -> PseudoLikResult:
     """Newton maximization from theta = 0 of the pairwise (g = 2) or the
     groupwise objective.  Either has a finite maximizer iff some pair of
     complete cases is concordant (d > 0) and some pair discordant (d < 0).
@@ -326,7 +339,14 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
     value's smallest and largest x are the first and last of its run.  A
     groupwise fit keeps its permutation contrasts, C(n, g) (g! - 1) of them,
     and raises DomainError before it builds any index or contrast when they
-    number more than _CACHED_CONTRASTS (g = 3 reaches n = 331, g = 4 n = 76)."""
+    number more than _CACHED_CONTRASTS (g = 3 reaches n = 331, g = 4 n = 76).
+
+    With ``variance`` (g = 2 only) the result carries the U-statistic
+    sandwich.  A pass with row sums returns the same loglik, score and
+    Hessian as one without, so each evaluation within _ROWS_STEP
+    max(1, |theta|) of the one before, where quadratic convergence puts
+    Newton's last, sums the rows too; the variance reads such a pass at
+    theta_hat, or makes one there if there was none."""
     xc, yc, n, ties = design.xc, design.yc, design.n_complete, design.ties_dropped
     x, y, w = _cells(xc, yc)
     starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
@@ -341,7 +361,14 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
     if group_size == 2:
         ws = _workspace(len(x))
-        evaluate = lambda t: _pass(x, y, w, t, ws, ties)[:3]
+        last = None     # (theta, sums, rows) of the last evaluation
+
+        def evaluate(t):
+            nonlocal last
+            rows = variance and last is not None and (
+                abs(t - last[0]) <= _ROWS_STEP * max(1.0, abs(last[0])))
+            last = t, _pass(x, y, w, t, ws, ties, rows), rows
+            return last[1][:3]
         n_terms = n * (n - 1) // 2 - ties
     else:
         n_terms = math.comb(n, group_size)
@@ -353,9 +380,36 @@ def _fit(design: PairDesign, group_size: int) -> PseudoLikResult:
         cached = list(_group_deltas(xc, yc, group_size))
         evaluate = lambda t: _groupwise_score_hess(lambda: cached, t)[:3]
     theta, it, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL, "pseudo-likelihood fit")
-    return PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
-                           iterations=it, group_size=group_size,
-                           ties_dropped=ties if group_size == 2 else None)
+    res = PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
+                          iterations=it, group_size=group_size,
+                          ties_dropped=ties if group_size == 2 else None)
+    if not variance:
+        return res
+    if n < 3:
+        raise DataError("need at least 3 complete cases for the triple average")
+    if not (last[2] and last[0] == theta):
+        last = theta, _pass(x, y, w, theta, ws, ties, rows=True), True
+    a_hat, b_hat, var = _sandwich(last[1], n)
+    return dataclasses.replace(res, a_hat=a_hat, b_hat=b_hat, sandwich_var=var)
+
+
+def _sandwich(sums: _PairSums, n: int) -> tuple[float, float, float]:
+    """(a_hat, b_hat, b_hat / a_hat^2) from a pass with row sums over n
+    complete cases; a value that is not positive and finite raises
+    NumericalError."""
+    a_hat = -2.0 * sums.hess / (n * (n - 1))
+    b_hat = 4.0 * sums.triples / (n * (n - 1) * (n - 2))
+    if a_hat <= 0 or not math.isfinite(a_hat):
+        raise NumericalError("degenerate curvature: a_hat is not positive")
+    if b_hat <= 0 or not math.isfinite(b_hat):
+        raise NumericalError("degenerate score variance: b_hat is not positive")
+    # a_hat ** 2 raises OverflowError where a_hat * a_hat is inf, and is 0
+    # where it underflows
+    var = b_hat / a_hat ** 2 if 0.0 < a_hat * a_hat < math.inf else math.nan
+    if not 0.0 < var < math.inf:
+        raise NumericalError(f"sandwich variance out of range (a_hat = {a_hat:g}, "
+                             f"b_hat = {b_hat:g})")
+    return a_hat, b_hat, var
 
 
 def variance_ustat(data: ObservedDataset, theta_hat: float
@@ -370,17 +424,11 @@ def variance_ustat(data: ObservedDataset, theta_hat: float
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
     x, y, w = _cells(xc, yc)
-    sums = _pass(x, y, w, theta_hat, _workspace(len(x)), rows=True)
-    a_hat = -2.0 * sums.hess / (n * (n - 1))
-    b_hat = 4.0 * sums.triples / (n * (n - 1) * (n - 2))
-    if a_hat <= 0 or not math.isfinite(a_hat):
-        raise NumericalError("degenerate curvature: a_hat is not positive")
-    if b_hat <= 0 or not math.isfinite(b_hat):
-        raise NumericalError("degenerate score variance: b_hat is not positive")
-    return a_hat, b_hat, b_hat / a_hat ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _pass(x, y, w, theta_hat, _workspace(len(x)), rows=True)
+    return _sandwich(sums, n)
 
 
 def fit_pairwise_with_variance(data: ObservedDataset) -> PseudoLikResult:
-    res = fit_pairwise(build_pairs(data))
-    a_hat, b_hat, var = variance_ustat(data, res.theta_hat)
-    return dataclasses.replace(res, a_hat=a_hat, b_hat=b_hat, sandwich_var=var)
+    """The pairwise fit with its U-statistic sandwich (module docstring)."""
+    return _fit(build_pairs(data), 2, variance=True)

@@ -520,10 +520,11 @@ def test_one_workspace_per_fit(monkeypatch):
     assert calls == [90, 90]
     cc.groupwise_loglik(data, 0.3, 2)
     assert calls == [90, 90, 90]
-    # 576 binary complete cases are 4 distinct (x, y) cells: each pass walks 4
+    # 576 binary complete cases are 4 distinct (x, y) cells: each pass walks
+    # 4, and the with-variance fit's variance pass shares its workspace
     _, x, y = next(_repeated_cases())
     cc.fit_pairwise_with_variance(complete_dataset(x, y))
-    assert calls == [90, 90, 90, 4, 4]
+    assert calls == [90, 90, 90, 4]
 
 
 def _repeated_cases():
@@ -583,6 +584,97 @@ def test_section61_fit_is_pinned():
     assert res.theta_hat == 0.09596666519442344
     assert res.a_hat == 3.984213835849157
     assert res.b_hat == 3.794594893538064
+
+
+def _with_variance_cases():
+    """(name, data): the kernel and repeated-case draws, and a bootstrap
+    resample of a Section 6.1 draw."""
+    yield from _kernel_cases()
+    for name, x, y in _repeated_cases():
+        yield name, complete_dataset(x, y)
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 1200, seed=12)
+    xc, yc = cc.simulate_dataset(config).observed.complete_xy()
+    idx = np.random.default_rng(12).integers(0, len(xc), size=len(xc))
+    yield "section 6.1 resample", complete_dataset(xc[idx], yc[idx])
+
+
+def _spy_passes(monkeypatch):
+    """Record (theta, rows) of every kernel pass."""
+    passes = []
+    kernel = cc.pseudolik._pass
+
+    def spy(x, y, w, theta, ws, ties=0, rows=False):
+        passes.append((theta, rows))
+        return kernel(x, y, w, theta, ws, ties, rows)
+    monkeypatch.setattr(cc.pseudolik, "_pass", spy)
+    return passes
+
+
+def test_fit_with_variance_equals_the_variance_pass_at_theta_hat():
+    for name, data in _with_variance_cases():
+        res = cc.fit_pairwise_with_variance(data)
+        assert (res.a_hat, res.b_hat, res.sandwich_var) == cc.variance_ustat(
+            data, res.theta_hat), name
+        assert res.theta_hat == cc.fit_pairwise(cc.build_pairs(data)).theta_hat, name
+
+
+def test_fit_with_variance_takes_its_variance_from_newtons_last_pass(monkeypatch):
+    passes = _spy_passes(monkeypatch)
+    for name, data in _with_variance_cases():
+        passes.clear()
+        res = cc.fit_pairwise_with_variance(data)
+        assert len(passes) == res.iterations, name
+        assert passes[-1][0] == res.theta_hat and passes[-1][1], name
+
+
+@pytest.mark.parametrize("rows_step", [0.0, math.inf])
+def test_fit_with_variance_does_not_depend_on_the_rows_step(rows_step, monkeypatch):
+    # 0 never sums rows before theta_hat, inf sums them on every pass after
+    # the first: either way every value is the default's, bit for bit
+    default = [cc.fit_pairwise_with_variance(data) for _, data in _with_variance_cases()]
+    monkeypatch.setattr(cc.pseudolik, "_ROWS_STEP", rows_step)
+    passes = _spy_passes(monkeypatch)
+    for (name, data), want in zip(_with_variance_cases(), default):
+        passes.clear()
+        assert cc.fit_pairwise_with_variance(data) == want, name
+        rows = [r for _, r in passes]
+        if rows_step == 0.0:
+            assert not any(rows[:-1]) and rows[-1] and len(rows) == want.iterations + 1, name
+        else:
+            assert not rows[0] and all(rows[1:]) and len(rows) == want.iterations, name
+
+
+@pytest.mark.parametrize("group_size", [2, 3])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_groupwise_loglik_rejects_a_non_finite_theta(group_size, theta):
+    data = next(_kernel_cases())[1]
+    with pytest.raises(cc.DomainError, match="theta must be finite"):
+        cc.groupwise_loglik(data, theta, group_size)
+
+
+@pytest.mark.parametrize("group_size", [2, 3])
+@pytest.mark.parametrize("theta", [1e308, -1e308, 1e306])
+def test_groupwise_loglik_that_overflows_is_a_numerical_error(group_size, theta):
+    # some pairs are concordant and some discordant, so theta d overflows
+    # on one side whatever theta's sign; the warnings are errors in tests
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=30)
+    data = complete_dataset(x, 0.3 * x + rng.normal(size=30))
+    with pytest.raises(cc.NumericalError, match="overflows"):
+        cc.groupwise_loglik(data, theta, group_size)
+
+
+@pytest.mark.parametrize("theta, message", [(1e308, "curvature"), (-1e308, "curvature"),
+                                            (1e6, "sandwich variance")])
+def test_variance_pass_out_of_range_is_a_numerical_error(theta, message):
+    # at +-1e308 theta |d| overflows and every Hessian term is 0; at 1e6
+    # a_hat is about 4e-183, so a_hat ** 2 underflows to 0 and
+    # b_hat / a_hat ** 2 would divide by zero
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=30)
+    data = complete_dataset(x, 0.3 * x + rng.normal(size=30))
+    with pytest.raises(cc.NumericalError, match=message):
+        cc.variance_ustat(data, theta)
 
 
 def test_ties_counted_from_runs_of_equal_y():
