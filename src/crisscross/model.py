@@ -301,12 +301,8 @@ def _or_unit(log_or: float, se: float | None) -> dict:
 def _fit_pseudolik(data: ObservedDataset, options: dict, point_only=False) -> tuple:
     from . import pseudolik
     g = options.get("group_size", 2)
-    if g != 2:
-        res = pseudolik.fit_groupwise(data, g)
-    elif point_only:
-        res = pseudolik.fit_pairwise(pseudolik.build_pairs(data))
-    else:
-        res = pseudolik.fit_pairwise_with_variance(data)
+    res = (pseudolik.fit_groupwise(data, g) if g != 2 or point_only
+           else pseudolik.fit_pairwise_with_variance(data))
     theta, se = res.theta_hat, res.se
     if point_only:
         payload = {}

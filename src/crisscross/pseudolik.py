@@ -24,9 +24,16 @@ w_a w_b pairs with the same d, and the pairs inside one are tied in y and
 drop out, so each sum is the w_a w_b-weighted sum over K^2 / 2 cells
 (w = 1 when the cases are all distinct).  Bootstrap resamples and binary
 or count data repeat cases, and cost K^2 cells, not n_c^2.  Each fit
-allocates the block temporaries once, as a workspace that every block of
-every pass writes into.  Groupwise variants replace pairs by index groups
-of size g in {2, 3, 4}, normalizing each group by the sum over the g!
+makes one workspace, which holds what no theta changes: the block
+temporaries, allocated once, that every block of every pass writes into,
+the weighted count of the blocks' cells, and, once a pass has summed it,
+sum w_a w_b c for each sign of theta, as c = min(d, 0)
+(max(d, 0) for theta < 0) depends on the sign alone; later passes of that
+sign reuse it and clip d to c only when they sum rows.  At theta = 0 (or
+-0.0), e = 1 exactly, so log1p(e) = log 2, r = |d| / 2 = r e and
+r^2 e = r^2, bit for bit what exp, log1p and the divide give; Newton's
+first pass makes none of them.  Groupwise variants replace pairs by index
+groups of size g in {2, 3, 4}, normalizing each group by the sum over the g!
 permutations of its x values; g = 2 recovers the pairwise objective.  For g = 3 and 4 the
 contrasts S_P - S_id of a block of groups are one matmul of a fixed +-1
 matrix with the groups' outer products x_a y_b, stored permutation-major
@@ -131,18 +138,42 @@ def _cells(xc, yc):
     return xs[starts], ys[starts], np.diff(np.r_[starts, len(xs)]).astype(float)
 
 
-def _workspace(n):
-    """(rows per block, lower-triangle mask of a full block, a buffer of five
-    rows of at least rows n cells for the block temporaries), for n cells.
-    A fit makes one and every block of every pass writes into it, so a fit
-    faults its block memory in once, not once per block."""
-    rows = min(n, max(1, _BLOCK // n))
-    # each buffer row starts on a 64-byte cache line (np.empty aligns to 16
-    # bytes only): a vector load that straddles two lines is slower
-    width = -(-rows * n // 8) * 8
-    raw = np.empty(5 * width + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return rows, np.tri(rows, dtype=bool), raw[start:start + 5 * width].reshape(5, width)
+class _Workspace:
+    """What every kernel pass of one fit shares, none of it theta's: the
+    cells (x, y, w) of ``_cells``, a buffer of five rows of at least rows n
+    cells for the block temporaries, the weighted count of the blocks'
+    cells and sum w w c for each sign of theta once a pass has summed it.
+    Every block of every pass writes into the one buffer, so a fit faults
+    its block memory in once, not once per block."""
+
+    def __init__(self, x, y, w):
+        n = len(x)
+        self.x, self.y, self.w = x, y, w
+        self.rows = rows = min(n, max(1, _BLOCK // n))
+        # each buffer row starts on a 64-byte cache line (np.empty aligns to
+        # 16 bytes only): a vector load that straddles two lines is slower
+        width = -(-rows * n // 8) * 8
+        raw = np.empty(5 * width + 8)
+        start = -raw.ctypes.data % 64 // 8
+        self.buf = raw[start:start + 5 * width].reshape(5, width)
+        self.lower = np.tri(rows, dtype=bool)
+        self.cells = 0.0
+        for r0 in range(0, n - 1, rows):
+            self.cells += w[r0:r0 + rows].sum() * w[r0:].sum()
+        self.sum_c = {}     # sign of theta -> sum w w c
+
+    def blocks(self):
+        """Yield each block, rows r0 .. r0 + m by the columns from r0 on:
+        (r0, m, five (m, n - r0) views of the buffer, the first's (m, m)
+        leading square and its lower-triangle mask, x[r0:r0 + m, None],
+        x[r0:], the same of y, w[r0:r0 + m], w[r0:])."""
+        n, step, x, y, w = len(self.x), self.rows, self.x, self.y, self.w
+        for r0 in range(0, n - 1, step):
+            m = min(step, n - r0)
+            views = self.buf[:, :m * (n - r0)].reshape(5, m, n - r0)
+            yield (r0, m, *views, views[0, :, :m], self.lower[:m, :m],
+                   x[r0:r0 + m, None], x[r0:], y[r0:r0 + m, None], y[r0:],
+                   w[r0:r0 + m], w[r0:])
 
 
 class _PairSums(NamedTuple):
@@ -152,59 +183,67 @@ class _PairSums(NamedTuple):
     triples: float      # sum_{i, k != l} zeta_ik zeta_il (rows=True)
 
 
-def _pass(x, y, w, theta, ws, ties=0, rows=False) -> _PairSums:
-    """One kernel pass at theta over the cells (x, y, w) of ``_cells`` in the
-    workspace ws, by the module docstring's per-cell identity; ties counts
-    the pairs tied in y, which drop out.  A block is rows r0 .. r0 + m by
-    the columns from r0 on, five (m, n - r0) views of the workspace buffer.
-    Its d[a, b] = d_ik for i = r0 + a, k = r0 + b, zero on and below the
-    diagonal, is clipped in place to c = s m = min(d, 0) (max(d, 0) for
-    theta < 0), so softplus(-theta d) = log1p(e) - theta c and d sigma
-    = s r e + c = -zeta.  Each block sum is wr @ (B @ wc) over the rows'
-    and the columns' counts."""
+def _pass(ws, theta, ties=0, rows=False) -> _PairSums:
+    """One kernel pass at theta over the cells of the workspace ws, block by
+    block, by the module docstring's per-cell identity; ties
+    counts the pairs tied in y, which drop out.  A block's d[a, b] = d_ik
+    for i = r0 + a, k = r0 + b, zero on and below the diagonal, is clipped
+    in place to c = s m = min(d, 0) (max(d, 0) for theta < 0), so
+    softplus(-theta d) = log1p(e) - theta c and d sigma = s r e + c = -zeta.
+    Only a pass of a sign whose sum w w c the workspace lacks sums c; a
+    later one clips d only for the row sums, which need c.  At theta = 0
+    a pass makes no exp, log1p or divide (module docstring).  Each block
+    sum is wr @ (B @ wk) over the rows' and the columns' counts."""
     a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
+    known_c = ws.sum_c.get(s)
     clip = np.minimum if s > 0 else np.maximum
-    sum_c = sum_log = sum_re = sum_h = zeta_sq = cells = 0.0
-    n = len(x)
-    step, lower, buf = ws
-    zeta_rows = np.zeros(n) if rows else None
-    for r0 in range(0, n - 1, step):
-        m = min(step, n - r0)
+    sum_c = sum_log = sum_re = sum_h = zeta_sq = 0.0
+    zeta_rows = np.zeros(len(ws.x)) if rows else None
+    for r0, m, d, r, ad, e, zeta, square, lower, xr, xk, yr, yk, wr, wk in ws.blocks():
         # r first holds the y differences and log1p(e), and c overwrites d,
         # so a pass without row sums keeps four block arrays in cache, not five
-        d, r, ad, e, zeta = (b[:m * (n - r0)].reshape(m, n - r0) for b in buf)
-        np.subtract.outer(x[r0:r0 + m], x[r0:], out=d)
-        np.subtract.outer(y[r0:r0 + m], y[r0:], out=r)
+        np.copyto(d, xr)
+        np.subtract(d, xk, out=d)
+        np.copyto(r, yr)
+        np.subtract(r, yk, out=r)
         d *= r
-        d[:, :m][lower[:m, :m]] = 0.0
-        wr, wc = w[r0:r0 + m], w[r0:]
-        cells += wr.sum() * wc.sum()
+        square[lower] = 0.0
         np.abs(d, out=ad)
-        c = clip(d, 0.0, out=d)
-        sum_c += wr @ (c @ wc)
-        np.multiply(ad, -a, out=e)
-        np.exp(e, out=e)
-        sum_log += wr @ (np.log1p(e, out=r) @ wc)
-        np.add(e, 1.0, out=r)
-        np.divide(ad, r, out=r)                     # r = |d| / (1 + e)
-        re = np.multiply(r, e, out=e)
-        sum_re += wr @ (re @ wc)
+        if rows or known_c is None:
+            c = clip(d, 0.0, out=d)
+            if known_c is None:
+                sum_c += wr @ (c @ wk)
+        if a:
+            np.multiply(ad, -a, out=e)
+            np.exp(e, out=e)
+            sum_log += wr @ (np.log1p(e, out=r) @ wk)
+            np.add(e, 1.0, out=r)
+            np.divide(ad, r, out=r)                 # r = |d| / (1 + e)
+            re = np.multiply(r, e, out=e)
+        else:           # e = 1: log1p(e) = log 2 and r = r e = |d| / 2
+            r.fill(_LOG2)
+            sum_log += wr @ (r @ wk)
+            re = r = np.multiply(ad, 0.5, out=e)
+        sum_re += wr @ (re @ wk)
         if rows:        # zeta = -(s r e + c)
             np.multiply(re, -s, out=zeta)
             zeta -= c
-            zeta_rows[r0:r0 + m] += zeta @ wc
+            zeta_rows[r0:r0 + m] += zeta @ wk
             zeta_rows[r0:] += wr @ zeta
             zeta *= zeta
-            zeta_sq += wr @ (zeta @ wc)
-        sum_h += wr @ (np.multiply(r, re, out=r) @ wc)
+            zeta_sq += wr @ (zeta @ wk)
+        sum_h += wr @ (np.multiply(r, re, out=r) @ wk)
+    if known_c is None:
+        known_c = ws.sum_c[s] = sum_c
     # d = 0 cells count log 2 each: the diagonal and lower triangle of each
     # block, beyond the (total^2 - sq) / 2 pairs of distinct cells, and the
     # pairs tied in y, beyond the (sq - total) / 2 inside the cells
+    w = ws.w
     total, sq = w.sum(), w @ w
-    padding = cells - (total * total - sq) / 2 + ties - (sq - total) / 2
-    loglik = theta * sum_c - sum_log + padding * _LOG2
+    padding = ws.cells - (total * total - sq) / 2 + ties - (sq - total) / 2
+    loglik = theta * known_c - sum_log + padding * _LOG2
     triples = w @ zeta_rows ** 2 - 2.0 * zeta_sq if rows else 0.0
-    return _PairSums(float(loglik), float(s * sum_re + sum_c), float(-sum_h),
+    return _PairSums(float(loglik), float(s * sum_re + known_c), float(-sum_h),
                      float(triples))
 
 
@@ -278,8 +317,7 @@ def groupwise_loglik(data: ObservedDataset, theta: float, group_size: int) -> fl
     xc, yc = _group_cases(data, group_size)
     with np.errstate(over="ignore", invalid="ignore"):
         if group_size == 2:     # the swap contrast is -d: the pair kernel's sum
-            x, y, w = _cells(xc, yc)
-            value = _pass(x, y, w, theta, _workspace(len(x))).loglik
+            value = _pass(_Workspace(*_cells(xc, yc)), theta).loglik
         else:
             value = _groupwise_score_hess(lambda: _group_deltas(xc, yc, group_size),
                                           theta)[0]
@@ -360,14 +398,14 @@ def _fit(design: PairDesign, group_size: int, variance: bool = False) -> PseudoL
         raise SeparationError("complete separation: estimate diverges to "
                               f"{'+' if direction > 0 else '-'}inf", direction=direction)
     if group_size == 2:
-        ws = _workspace(len(x))
+        ws = _Workspace(x, y, w)
         last = None     # (theta, sums, rows) of the last evaluation
 
-        def evaluate(t):
+        def kernel(t):
             nonlocal last
             rows = variance and last is not None and (
                 abs(t - last[0]) <= _ROWS_STEP * max(1.0, abs(last[0])))
-            last = t, _pass(x, y, w, t, ws, ties, rows), rows
+            last = t, _pass(ws, t, ties, rows), rows
             return last[1][:3]
         n_terms = n * (n - 1) // 2 - ties
     else:
@@ -377,9 +415,22 @@ def _fit(design: PairDesign, group_size: int, variance: bool = False) -> PseudoL
             raise DomainError(f"groupwise fit with g = {group_size} on {n} complete cases "
                               f"needs {contrasts:.3g} permutation contrasts, above the "
                               f"budget of {_CACHED_CONTRASTS:.3g}")
-        cached = list(_group_deltas(xc, yc, group_size))
-        evaluate = lambda t: _groupwise_score_hess(lambda: cached, t)[:3]
-    theta, it, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL, "pseudo-likelihood fit")
+        kernel = lambda t: _groupwise_score_hess(lambda: cached, t)[:3]
+
+    def evaluate(t):
+        sums = kernel(t)
+        if t == 0 and not all(map(math.isfinite, sums)):
+            raise NumericalError(f"the g = {group_size} objective overflows at theta = 0")
+        return sums
+    # a product of the data that overflows makes the theta = 0 evaluation
+    # non-finite, and the check above reports it in place of numpy's
+    # warnings; at any other theta a merit that is not finite halves the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        if group_size != 2:
+            cached = list(_group_deltas(xc, yc, group_size))
+        theta, it, _ = newton(evaluate, 0.0, n_terms, SCORE_TOL, "pseudo-likelihood fit")
+        if variance and n >= 3 and not (last[2] and last[0] == theta):
+            last = theta, _pass(ws, theta, ties, rows=True), True
     res = PseudoLikResult(theta_hat=float(theta), n_complete=n, n_total=design.n_total,
                           iterations=it, group_size=group_size,
                           ties_dropped=ties if group_size == 2 else None)
@@ -387,8 +438,6 @@ def _fit(design: PairDesign, group_size: int, variance: bool = False) -> PseudoL
         return res
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
-    if not (last[2] and last[0] == theta):
-        last = theta, _pass(x, y, w, theta, ws, ties, rows=True), True
     a_hat, b_hat, var = _sandwich(last[1], n)
     return dataclasses.replace(res, a_hat=a_hat, b_hat=b_hat, sandwich_var=var)
 
@@ -423,9 +472,8 @@ def variance_ustat(data: ObservedDataset, theta_hat: float
     n = len(xc)
     if n < 3:
         raise DataError("need at least 3 complete cases for the triple average")
-    x, y, w = _cells(xc, yc)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _pass(x, y, w, theta_hat, _workspace(len(x)), rows=True)
+        sums = _pass(_Workspace(*_cells(xc, yc)), theta_hat, rows=True)
     return _sandwich(sums, n)
 
 

@@ -241,10 +241,10 @@ def test_bootstrap_runs_no_variance_pass(dataset_csv, capsys, monkeypatch):
     # command's variance would slow each of its O(n_c^2) passes
     kernel, passes = cc.pseudolik._pass, []
 
-    def no_rows(x, y, w, theta, ws, ties=0, rows=False):
+    def no_rows(ws, theta, ties=0, rows=False):
         assert not rows, "bootstrap ran a variance pass"
         passes.append(theta)
-        return kernel(x, y, w, theta, ws, ties)
+        return kernel(ws, theta, ties)
     monkeypatch.setattr(cc.pseudolik, "_pass", no_rows)
     assert main(["bootstrap", str(dataset_csv), "--method", "pseudolik",
                  "--resamples", "4"]) == 0
@@ -423,6 +423,28 @@ def test_gee_jacobian_that_overflows_prints_one_stderr_line(argv, code, message,
     # a fresh interpreter, so numpy's overflow warning would print, not raise
     path = tmp_path / "overflow.csv"
     path.write_text(OVERFLOWING_Y)
+    proc = _cli_process([argv[0], str(path), *argv[1:]])
+    out, err = proc.communicate(timeout=120)
+    lines = err.decode().splitlines()
+    assert proc.returncode == code and out == b"" and len(lines) == 1, lines
+    assert lines[0].startswith(message)
+
+
+# two complete cases whose pair products overflow: d = (2e200)^2 is inf
+OVERFLOWING_PAIRS = ("x,y,r_x,r_y\n1e200,1e200,1,1\n-1e200,-1e200,1,1\n"
+                     "0,1,1,1\n1,0,1,1\n0.5,0.3,1,1\n2,2,1,1\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    *[(["estimate", "--method", "pseudolik", "--group-size", str(g)], 4,
+       f"numerical failure: the g = {g} objective overflows at theta = 0") for g in (2, 3, 4)],
+    (["bootstrap", "--method", "pseudolik", "--resamples", "5"], 3,
+     "data error: 4 of 5 bootstrap resamples failed"),
+], ids=["g2", "g3", "g4", "bootstrap"])
+def test_pair_products_that_overflow_print_one_stderr_line(argv, code, message, tmp_path):
+    # a fresh interpreter, so numpy's overflow warnings would print, not raise
+    path = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOWING_PAIRS)
     proc = _cli_process([argv[0], str(path), *argv[1:]])
     out, err = proc.communicate(timeout=120)
     lines = err.decode().splitlines()

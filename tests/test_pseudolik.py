@@ -258,10 +258,9 @@ def test_pair_kernel_keeps_its_digits_near_separation(theta):
     # the score's terms, of size 1e-9, cancel to 1e-13 or less: it may be
     # off by 64 eps of their magnitudes' sum, the oracle's own rounding.
     # The objective's d = 0 padding cells add and take back log 2 each
-    from crisscross.pseudolik import _cells, _pass, _workspace
+    from crisscross.pseudolik import _cells, _pass, _Workspace
     xc, yc = map(np.array, NEAR_SEPARATED)
-    x, y, w = _cells(xc, yc)
-    sums = _pass(x, y, w, theta, _workspace(len(x)))
+    sums = _pass(_Workspace(*_cells(xc, yc)), theta)
     loglik, score, hess = _pair_terms(xc, yc, theta)
     assert abs(sums.score - np.sum(score)) <= 64 * np.finfo(float).eps * np.sum(np.abs(score))
     assert sums.loglik == pytest.approx(np.sum(loglik), rel=1e-12)
@@ -511,8 +510,9 @@ def test_degenerate_data_check_matches_the_pair_signs():
 
 def test_one_workspace_per_fit(monkeypatch):
     calls = []
-    make = cc.pseudolik._workspace
-    monkeypatch.setattr(cc.pseudolik, "_workspace", lambda n: calls.append(n) or make(n))
+    make = cc.pseudolik._Workspace
+    monkeypatch.setattr(cc.pseudolik, "_Workspace",
+                        lambda x, y, w: calls.append(len(x)) or make(x, y, w))
     data = next(_kernel_cases())[1]
     res = cc.fit_pairwise(cc.build_pairs(data))
     assert res.iterations > 2 and calls == [90]
@@ -603,9 +603,9 @@ def _spy_passes(monkeypatch):
     passes = []
     kernel = cc.pseudolik._pass
 
-    def spy(x, y, w, theta, ws, ties=0, rows=False):
+    def spy(ws, theta, ties=0, rows=False):
         passes.append((theta, rows))
-        return kernel(x, y, w, theta, ws, ties, rows)
+        return kernel(ws, theta, ties, rows)
     monkeypatch.setattr(cc.pseudolik, "_pass", spy)
     return passes
 
@@ -737,3 +737,208 @@ def test_groupwise_fit_raises_above_the_contrast_budget(group_size, n, monkeypat
     monkeypatch.setattr(cc.pseudolik, "_CACHED_CONTRASTS", budget - 1)
     with pytest.raises(cc.DomainError, match="budget"):
         cc.fit_groupwise(data, group_size)
+
+
+# ------------------------------------------------------------------ #
+# the kernel against the one it replaced, bit for bit
+# ------------------------------------------------------------------ #
+
+# The pair kernel as it was before its workspace held sum w w c per sign,
+# and before its theta = 0 pass skipped exp and log1p, copied unchanged:
+# every later pass must return the same bits.
+_BLOCK = cc.pseudolik._BLOCK
+_LOG2 = math.log(2.0)
+_PairSums = cc.pseudolik._PairSums
+
+
+def _workspace(n):
+    """(rows per block, lower-triangle mask of a full block, a buffer of five
+    rows of at least rows n cells for the block temporaries), for n cells.
+    A fit makes one and every block of every pass writes into it, so a fit
+    faults its block memory in once, not once per block."""
+    rows = min(n, max(1, _BLOCK // n))
+    # each buffer row starts on a 64-byte cache line (np.empty aligns to 16
+    # bytes only): a vector load that straddles two lines is slower
+    width = -(-rows * n // 8) * 8
+    raw = np.empty(5 * width + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return rows, np.tri(rows, dtype=bool), raw[start:start + 5 * width].reshape(5, width)
+
+
+def _pass(x, y, w, theta, ws, ties=0, rows=False) -> _PairSums:
+    """One kernel pass at theta over the cells (x, y, w) of ``_cells`` in the
+    workspace ws, by the module docstring's per-cell identity; ties counts
+    the pairs tied in y, which drop out.  A block is rows r0 .. r0 + m by
+    the columns from r0 on, five (m, n - r0) views of the workspace buffer.
+    Its d[a, b] = d_ik for i = r0 + a, k = r0 + b, zero on and below the
+    diagonal, is clipped in place to c = s m = min(d, 0) (max(d, 0) for
+    theta < 0), so softplus(-theta d) = log1p(e) - theta c and d sigma
+    = s r e + c = -zeta.  Each block sum is wr @ (B @ wc) over the rows'
+    and the columns' counts."""
+    a, s = abs(theta), (-1.0 if theta < 0 else 1.0)
+    clip = np.minimum if s > 0 else np.maximum
+    sum_c = sum_log = sum_re = sum_h = zeta_sq = cells = 0.0
+    n = len(x)
+    step, lower, buf = ws
+    zeta_rows = np.zeros(n) if rows else None
+    for r0 in range(0, n - 1, step):
+        m = min(step, n - r0)
+        # r first holds the y differences and log1p(e), and c overwrites d,
+        # so a pass without row sums keeps four block arrays in cache, not five
+        d, r, ad, e, zeta = (b[:m * (n - r0)].reshape(m, n - r0) for b in buf)
+        np.subtract.outer(x[r0:r0 + m], x[r0:], out=d)
+        np.subtract.outer(y[r0:r0 + m], y[r0:], out=r)
+        d *= r
+        d[:, :m][lower[:m, :m]] = 0.0
+        wr, wc = w[r0:r0 + m], w[r0:]
+        cells += wr.sum() * wc.sum()
+        np.abs(d, out=ad)
+        c = clip(d, 0.0, out=d)
+        sum_c += wr @ (c @ wc)
+        np.multiply(ad, -a, out=e)
+        np.exp(e, out=e)
+        sum_log += wr @ (np.log1p(e, out=r) @ wc)
+        np.add(e, 1.0, out=r)
+        np.divide(ad, r, out=r)                     # r = |d| / (1 + e)
+        re = np.multiply(r, e, out=e)
+        sum_re += wr @ (re @ wc)
+        if rows:        # zeta = -(s r e + c)
+            np.multiply(re, -s, out=zeta)
+            zeta -= c
+            zeta_rows[r0:r0 + m] += zeta @ wc
+            zeta_rows[r0:] += wr @ zeta
+            zeta *= zeta
+            zeta_sq += wr @ (zeta @ wc)
+        sum_h += wr @ (np.multiply(r, re, out=r) @ wc)
+    # d = 0 cells count log 2 each: the diagonal and lower triangle of each
+    # block, beyond the (total^2 - sq) / 2 pairs of distinct cells, and the
+    # pairs tied in y, beyond the (sq - total) / 2 inside the cells
+    total, sq = w.sum(), w @ w
+    padding = cells - (total * total - sq) / 2 + ties - (sq - total) / 2
+    loglik = theta * sum_c - sum_log + padding * _LOG2
+    triples = w @ zeta_rows ** 2 - 2.0 * zeta_sq if rows else 0.0
+    return _PairSums(float(loglik), float(s * sum_re + sum_c), float(-sum_h),
+                     float(triples))
+
+
+def _set_block(monkeypatch, block):
+    """Set the block size of the kernel and of its oracle above."""
+    monkeypatch.setattr(cc.pseudolik, "_BLOCK", block)
+    monkeypatch.setitem(globals(), "_BLOCK", block)
+
+
+def _oracle_kernel(monkeypatch):
+    """Run every fit and kernel entry point on the oracle kernel above."""
+    monkeypatch.setattr(cc.pseudolik, "_Workspace",
+                        lambda x, y, w: (x, y, w, _workspace(len(x))))
+    monkeypatch.setattr(cc.pseudolik, "_pass", lambda ws, theta, ties=0, rows=False:
+                        _pass(*ws[:3], theta, ws[3], ties, rows))
+
+
+def _oracle_cases():
+    """(name, x, y): the kernel, repeated-case and near-separated draws."""
+    for name, data in _kernel_cases():
+        yield (name, *data.complete_xy())
+    yield from _repeated_cases()
+    yield ("near separated", *map(np.array, NEAR_SEPARATED))
+
+
+# each sign's first pass sums c; later ones reuse it, with and without rows
+ORACLE_THETAS = [0.0, -0.0, 1e-9, 0.3, -0.7, 2.5, 16906.94]
+
+
+@pytest.mark.parametrize("block", [None, 2000, 530])
+def test_kernel_passes_equal_the_oracle_bit_for_bit(block, monkeypatch):
+    # 2000 and 530 cells make several blocks on the draws of 53 cells or
+    # more, the last one partial on some of them
+    from crisscross.pseudolik import _cells, _pass as kernel, _Workspace
+    if block is not None:
+        _set_block(monkeypatch, block)
+    for name, xc, yc in _oracle_cases():
+        x, y, w = _cells(xc, yc)
+        ws, oracle_ws = _Workspace(x, y, w), _workspace(len(x))
+        for theta in ORACLE_THETAS:
+            for rows in (False, True):
+                got = kernel(ws, theta, 3, rows)
+                want = _pass(x, y, w, theta, oracle_ws, 3, rows)
+                # == and the same bits, signed zeros included
+                assert got == want and np.array(got).tobytes() == np.array(want).tobytes(), (
+                    name, theta, rows)
+        assert set(ws.sum_c) == {1.0, -1.0}, name
+
+
+def _oracle_fit_cases():
+    """(name, data): Section 6.1 and misspecified draws and a bootstrap
+    resample of the first."""
+    for seed in (3, 4):
+        config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 1000, seed)
+        yield f"section 6.1, seed {seed}", cc.simulate_dataset(config).observed
+        config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.MISSPECIFIED_MECHANISM, 1000, seed)
+        yield f"misspecified, seed {seed}", cc.simulate_dataset(config).observed
+    config = cc.ScenarioConfig(cc.SECTION61_TARGET, cc.SECTION61_MECHANISM, 1000, 3)
+    xc, yc = cc.simulate_dataset(config).observed.complete_xy()
+    idx = np.random.default_rng(3).integers(0, len(xc), size=len(xc))
+    yield "bootstrap resample", complete_dataset(xc[idx], yc[idx])
+
+
+def _kernel_results(data):
+    res = cc.fit_pairwise(cc.build_pairs(data))
+    return (res, cc.fit_pairwise_with_variance(data),
+            cc.variance_ustat(data, res.theta_hat),
+            [cc.groupwise_loglik(data, t, 2) for t in (0.0, res.theta_hat, -0.4)])
+
+
+def test_fits_equal_the_oracle_kernels_fits(monkeypatch):
+    new = [_kernel_results(data) for _, data in _oracle_fit_cases()]
+    _oracle_kernel(monkeypatch)
+    for (name, data), got in zip(_oracle_fit_cases(), new):
+        assert got == _kernel_results(data), name
+
+
+class _CountingNumpy:
+    """numpy for the pseudolik module, counting its exp, log1p and clip
+    (minimum or maximum) calls."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(("exp", "log1p", "clip"), 0)
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        key = {"minimum": "clip", "maximum": "clip"}.get(name, name)
+        if key not in self.counts:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def test_a_pass_skips_work_it_already_has(monkeypatch):
+    # a fit's theta = 0 pass makes no exp and no log1p; only the first pass
+    # of each sign of theta, and a pass with row sums, clip d to c
+    counting = _CountingNumpy()
+    monkeypatch.setattr(cc.pseudolik, "np", counting)
+    passes = []
+    kernel = cc.pseudolik._pass
+
+    def spy(ws, theta, ties=0, rows=False):
+        before = dict(counting.counts)
+        sums = kernel(ws, theta, ties, rows)
+        passes.append((theta, rows, {k: v - before[k] for k, v in counting.counts.items()}))
+        return sums
+    monkeypatch.setattr(cc.pseudolik, "_pass", spy)
+    for name, data in list(_kernel_cases())[::3]:   # theta_hat > 0, and < 0
+        for fit in (lambda d: cc.fit_pairwise(cc.build_pairs(d)), cc.fit_pairwise_with_variance):
+            passes.clear()
+            fit(data)
+            assert passes[0][0] == 0.0 and len(passes) > 2, name
+            assert passes[0][2]["exp"] == passes[0][2]["log1p"] == 0, name
+            signs = set()
+            for theta, rows, calls in passes:
+                sign = -1 if theta < 0 else 1
+                assert (calls["clip"] > 0) == (rows or sign not in signs), (name, theta, rows)
+                signs.add(sign)
+                if theta != 0:
+                    assert calls["exp"] > 0 and calls["log1p"] > 0, (name, theta)
+            assert signs == ({1, -1} if name == "negative theta" else {1}), name
